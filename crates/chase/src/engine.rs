@@ -182,10 +182,6 @@ pub struct Chase {
     merge_map: Subst,
     outcome: ChaseOutcome,
     stats: ChaseStats,
-    /// Event sink (worker 0); parallel discovery workers derive their own
-    /// handles from it. Purely observational — never consulted for
-    /// control flow.
-    trace: TraceHandle,
     /// Set when an application was skipped because of the level bound.
     hit_bound: bool,
     /// Record cross-arcs (enabled for the bounded phase only; level-0
@@ -198,7 +194,7 @@ pub struct Chase {
 }
 
 impl Chase {
-    fn new(q: &ConjunctiveQuery) -> Chase {
+    fn new(q: &ConjunctiveQuery, trace: &TraceHandle) -> Chase {
         let mut chase = Chase {
             nodes: Vec::new(),
             redirect: Vec::new(),
@@ -212,14 +208,13 @@ impl Chase {
             merge_map: Subst::new(),
             outcome: ChaseOutcome::Completed,
             stats: ChaseStats::default(),
-            trace: TraceHandle::Disabled,
             hit_bound: false,
             record_cross: false,
             custom_egds: None,
         };
         for atom in q.body() {
             if chase.insert(*atom, 0, None, Vec::new()).is_none() {
-                chase.exhaust(ExhaustReason::Conjuncts);
+                chase.exhaust(ExhaustReason::Conjuncts, trace);
                 break;
             }
         }
@@ -420,7 +415,7 @@ impl Chase {
 
     /// Stops the run with an [`ChaseOutcome::Exhausted`] outcome and
     /// bumps the matching governor counter.
-    fn exhaust(&mut self, reason: ExhaustReason) {
+    fn exhaust(&mut self, reason: ExhaustReason, trace: &TraceHandle) {
         self.outcome = ChaseOutcome::Exhausted { reason };
         let reason_index = match reason {
             ExhaustReason::Conjuncts => 0u8,
@@ -429,7 +424,7 @@ impl Chase {
             ExhaustReason::Bytes => 3,
             ExhaustReason::Cancelled => 4,
         };
-        self.trace.emit(|| ChaseEvent::GovernorStop {
+        trace.emit(|| ChaseEvent::GovernorStop {
             reason: reason_index,
         });
         let m = Metrics::global();
@@ -485,11 +480,11 @@ impl Chase {
     ///
     /// Returns `Err((left, right))` when two distinct rigid constants must
     /// be equated, `Ok(true)` if any merge happened.
-    fn drain_egds(&mut self) -> Result<bool, (Term, Term)> {
+    fn drain_egds(&mut self, trace: &TraceHandle) -> Result<bool, (Term, Term)> {
         match self.custom_egds.take() {
-            None => self.egd_fixpoint(),
+            None => self.egd_fixpoint(trace),
             Some(egds) => {
-                let out = self.egd_fixpoint_general(&egds);
+                let out = self.egd_fixpoint_general(&egds, trace);
                 self.custom_egds = Some(egds);
                 out
             }
@@ -503,7 +498,11 @@ impl Chase {
     /// every homomorphism demands one equation. Union-find semantics are
     /// identical to the ρ4 scan: lexicographically smaller representative
     /// wins, two distinct constants clash.
-    fn egd_fixpoint_general(&mut self, egds: &[Egd]) -> Result<bool, (Term, Term)> {
+    fn egd_fixpoint_general(
+        &mut self,
+        egds: &[Egd],
+        trace: &TraceHandle,
+    ) -> Result<bool, (Term, Term)> {
         let mut changed_any = false;
         loop {
             let mut uf: HashMap<Term, Term> = HashMap::new();
@@ -535,7 +534,7 @@ impl Chase {
             if !pending {
                 return Ok(changed_any);
             }
-            self.commit_merge(&uf);
+            self.commit_merge(&uf, trace);
             changed_any = true;
         }
     }
@@ -544,7 +543,7 @@ impl Chase {
     ///
     /// Returns `Err((left, right))` when two distinct rigid constants must
     /// be equated, `Ok(true)` if any merge happened.
-    fn egd_fixpoint(&mut self) -> Result<bool, (Term, Term)> {
+    fn egd_fixpoint(&mut self, trace: &TraceHandle) -> Result<bool, (Term, Term)> {
         let mut changed_any = false;
         loop {
             // Collect all equations demanded by ρ4 in the current state.
@@ -585,7 +584,7 @@ impl Chase {
             if !pending {
                 return Ok(changed_any);
             }
-            self.commit_merge(&uf);
+            self.commit_merge(&uf, trace);
             changed_any = true;
         }
     }
@@ -593,7 +592,7 @@ impl Chase {
     /// Normalizes a union-find of demanded equations into a substitution,
     /// rewrites the whole chase through it, and emits the `EgdMerge`
     /// event. Shared tail of both EGD fixpoints.
-    fn commit_merge(&mut self, uf: &HashMap<Term, Term>) {
+    fn commit_merge(&mut self, uf: &HashMap<Term, Term>, trace: &TraceHandle) {
         let mut merge = Subst::new();
         let mut max_depth = 0u32;
         let keys: Vec<Term> = uf.keys().copied().collect();
@@ -604,7 +603,7 @@ impl Chase {
         }
         let merged = u32::try_from(merge.len()).unwrap_or(u32::MAX);
         self.apply_merge(&merge);
-        self.trace.emit(|| ChaseEvent::EgdMerge {
+        trace.emit(|| ChaseEvent::EgdMerge {
             merged,
             depth: max_depth,
         });
@@ -853,6 +852,7 @@ impl Chase {
         tgds: &[&Tgd],
         frontier: &[ConjunctId],
         threads: usize,
+        trace: &TraceHandle,
     ) -> Result<Vec<Candidate>, ChaseError> {
         let threads = threads.min(frontier.len());
         if threads <= 1 {
@@ -863,6 +863,10 @@ impl Chase {
             return Ok(out);
         }
         let chunk_size = frontier.len().div_ceil(threads);
+        // Read on this thread: the hook is per test thread, so it never
+        // reaches chases that other tests run concurrently.
+        #[cfg(test)]
+        let inject_panic = INJECT_WORKER_PANIC.get();
         let mut per_chunk: Vec<Vec<Candidate>> = Vec::with_capacity(threads);
         let mut failure: Option<ChaseError> = None;
         std::thread::scope(|scope| {
@@ -873,10 +877,10 @@ impl Chase {
                     // Worker slot i+1: slot 0 is the coordinating thread.
                     // Handles are derived before spawning so ring creation
                     // happens in deterministic chunk order.
-                    let worker_trace = self.trace.worker((i + 1) as u32);
+                    let worker_trace = trace.worker((i + 1) as u32);
                     scope.spawn(move || {
                         #[cfg(test)]
-                        if INJECT_WORKER_PANIC.load(std::sync::atomic::Ordering::Relaxed) {
+                        if inject_panic {
                             panic!("injected discovery worker panic");
                         }
                         let mut out = Vec::new();
@@ -941,10 +945,11 @@ impl Chase {
         // never run out of ids before the cap fires.
         let max_conjuncts = opts.max_conjuncts.min(u32::MAX as usize - 1);
         let governed = !opts.budget.is_unlimited();
+        let trace = &opts.trace;
         let mut frontier: Vec<ConjunctId> = self.live_ids();
 
         // Initial EGD drain (the query body itself may violate an EGD).
-        match self.drain_egds() {
+        match self.drain_egds(trace) {
             Err((l, r)) => {
                 self.outcome = ChaseOutcome::Failed { left: l, right: r };
                 return Ok(());
@@ -959,16 +964,16 @@ impl Chase {
         while !frontier.is_empty() {
             if governed {
                 if let Some(reason) = self.governor_checkpoint(&opts.budget) {
-                    self.exhaust(reason);
+                    self.exhaust(reason, trace);
                     return Ok(());
                 }
             }
             // Frontier snapshot event. Guarded: `max_level` is an O(n)
             // scan we must not pay when tracing is off.
-            if self.trace.is_enabled() {
+            if trace.is_enabled() {
                 let (frontier_len, atoms, max_level) =
                     (frontier.len() as u64, self.len() as u64, self.max_level());
-                self.trace.emit(|| ChaseEvent::Frontier {
+                trace.emit(|| ChaseEvent::Frontier {
                     round,
                     max_level,
                     frontier: frontier_len,
@@ -976,7 +981,7 @@ impl Chase {
                 });
             }
             round = round.saturating_add(1);
-            let candidates = self.discover(tgds, &frontier, threads)?;
+            let candidates = self.discover(tgds, &frontier, threads, trace)?;
 
             let mut next: Vec<ConjunctId> = Vec::new();
             let mut added_any = false;
@@ -984,13 +989,13 @@ impl Chase {
                 self.stats.steps += 1;
                 if let Some(max_steps) = opts.budget.max_steps {
                     if self.stats.steps > max_steps {
-                        self.exhaust(ExhaustReason::Steps);
+                        self.exhaust(ExhaustReason::Steps, trace);
                         return Ok(());
                     }
                 }
                 if governed && self.stats.steps % CHECK_EVERY == 0 {
                     if let Some(reason) = self.governor_checkpoint(&opts.budget) {
-                        self.exhaust(reason);
+                        self.exhaust(reason, trace);
                         return Ok(());
                     }
                 }
@@ -1027,19 +1032,19 @@ impl Chase {
                             continue;
                         }
                         if self.nodes.len() >= max_conjuncts {
-                            self.exhaust(ExhaustReason::Conjuncts);
+                            self.exhaust(ExhaustReason::Conjuncts, trace);
                             return Ok(());
                         }
                         let Some((nid, new)) =
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
-                            self.exhaust(ExhaustReason::Conjuncts);
+                            self.exhaust(ExhaustReason::Conjuncts, trace);
                             return Ok(());
                         };
                         debug_assert!(new);
                         self.stats.record_application(cand.rule);
                         let rule_index = u8::try_from(cand.rule.index()).unwrap_or(u8::MAX);
-                        self.trace.emit(|| ChaseEvent::RuleFired {
+                        trace.emit(|| ChaseEvent::RuleFired {
                             rule: rule_index,
                             level: new_level,
                         });
@@ -1069,13 +1074,13 @@ impl Chase {
                             continue;
                         }
                         if self.nodes.len() >= max_conjuncts {
-                            self.exhaust(ExhaustReason::Conjuncts);
+                            self.exhaust(ExhaustReason::Conjuncts, trace);
                             return Ok(());
                         }
                         let fresh_null = self.nulls.fresh();
                         let fresh = Term::Null(fresh_null);
                         self.stats.nulls_invented += 1;
-                        self.trace.emit(|| ChaseEvent::NullInvented {
+                        trace.emit(|| ChaseEvent::NullInvented {
                             null: fresh_null.0,
                             level: new_level,
                         });
@@ -1085,13 +1090,13 @@ impl Chase {
                         let Some((nid, new)) =
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
-                            self.exhaust(ExhaustReason::Conjuncts);
+                            self.exhaust(ExhaustReason::Conjuncts, trace);
                             return Ok(());
                         };
                         debug_assert!(new);
                         self.stats.record_application(cand.rule);
                         let rule_index = u8::try_from(cand.rule.index()).unwrap_or(u8::MAX);
-                        self.trace.emit(|| ChaseEvent::RuleFired {
+                        trace.emit(|| ChaseEvent::RuleFired {
                             rule: rule_index,
                             level: new_level,
                         });
@@ -1106,7 +1111,7 @@ impl Chase {
 
             if added_any {
                 // Definition 2: EGDs are drained after TGD applications.
-                match self.drain_egds() {
+                match self.drain_egds(trace) {
                     Err((l, r)) => {
                         self.outcome = ChaseOutcome::Failed { left: l, right: r };
                         return Ok(());
@@ -1166,11 +1171,13 @@ fn find(uf: &HashMap<Term, Term>, t: Term) -> Term {
     find_depth(uf, t).0
 }
 
-/// Test-only switch that makes every spawned discovery worker panic, so
-/// the join-error path is exercisable without a genuinely buggy rule.
 #[cfg(test)]
-static INJECT_WORKER_PANIC: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+thread_local! {
+    /// Test-only switch that makes every discovery worker spawned by a
+    /// chase on this thread panic, so the join-error path is exercisable
+    /// without a genuinely buggy rule.
+    static INJECT_WORKER_PANIC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 /// Renders a worker's panic payload for [`ChaseError::WorkerFailed`].
 fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1226,8 +1233,7 @@ pub fn chase_minus(q: &ConjunctiveQuery) -> Chase {
 /// the returned (partial) chase instead.
 pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
     Metrics::global().time_chase(|| {
-        let mut chase = Chase::new(q);
-        chase.trace = opts.trace.clone();
+        let mut chase = Chase::new(q, &opts.trace);
         if chase.is_exhausted() {
             return Ok(chase);
         }
@@ -1243,7 +1249,7 @@ pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Cha
             chase.custom_egds = Some(opts.sigma.egds().into_iter().cloned().collect());
             opts.sigma.datalog_tgds()
         };
-        let _span = chase.trace.span(SpanKind::ChaseMinus);
+        let _span = opts.trace.span(SpanKind::ChaseMinus);
         chase.run(&tgds, &run_opts)?;
         chase.reset_levels();
         Ok(chase)
@@ -1263,8 +1269,7 @@ pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Cha
 /// [`ChaseOutcome::Exhausted`] and the partial chase intact.
 pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
     Metrics::global().time_chase(|| {
-        let mut chase = Chase::new(q);
-        chase.trace = opts.trace.clone();
+        let mut chase = Chase::new(q, &opts.trace);
         if chase.is_exhausted() {
             return Ok(chase);
         }
@@ -1280,7 +1285,7 @@ pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase,
             opts.sigma.datalog_tgds()
         };
         {
-            let _span = chase.trace.span(SpanKind::ChaseMinus);
+            let _span = opts.trace.span(SpanKind::ChaseMinus);
             chase.run(&prelim_tgds, &prelim)?;
         }
         if chase.is_failed() || chase.is_exhausted() {
@@ -1294,7 +1299,7 @@ pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase,
         } else {
             opts.sigma.tgds()
         };
-        let _span = chase.trace.span(SpanKind::ChaseBounded);
+        let _span = opts.trace.span(SpanKind::ChaseBounded);
         chase.run(&all_tgds, opts)?;
         Ok(chase)
     })
@@ -1524,7 +1529,7 @@ mod tests {
         // The injection flag makes every spawned discovery worker panic;
         // the sequential path spawns none, so only threaded runs fail.
         let q = parse_query("q(X) :- member(X, c1), sub(c1, c2), sub(c2, c3).").unwrap();
-        INJECT_WORKER_PANIC.store(true, std::sync::atomic::Ordering::Relaxed);
+        INJECT_WORKER_PANIC.set(true);
         let threaded = chase_minus_with(
             &q,
             &ChaseOptions {
@@ -1533,7 +1538,7 @@ mod tests {
             },
         );
         let sequential = chase_minus_with(&q, &ChaseOptions::default());
-        INJECT_WORKER_PANIC.store(false, std::sync::atomic::Ordering::Relaxed);
+        INJECT_WORKER_PANIC.set(false);
         match threaded {
             Err(ChaseError::WorkerFailed { detail }) => {
                 assert!(detail.contains("injected"), "{detail}");

@@ -362,4 +362,22 @@ mod tests {
         assert!(snap.approx_bytes() > 0);
         assert!(!snap.is_failed() && !snap.is_exhausted());
     }
+
+    #[test]
+    fn resident_snapshot_does_not_pin_its_build_tracer() {
+        let tracer = flogic_obs::Tracer::with_default_capacity();
+        let opts = ContainmentOptions {
+            threads: 2,
+            trace: flogic_obs::TraceHandle::enabled(&tracer),
+            ..ContainmentOptions::default()
+        };
+        let q1 = q("q() :- mandatory(A, T), type(T, A, T), sub(T, U).");
+        let snap = ChaseSnapshot::build(&q1, 4, &opts).unwrap();
+        assert!(!tracer.snapshot().events.is_empty(), "the build was traced");
+        drop(opts);
+        // Only the test's own reference is left: the snapshot, its chase
+        // and the joined discovery workers hold no handle to the rings.
+        assert_eq!(std::sync::Arc::strong_count(&tracer), 1);
+        assert!(snap.chase_conjuncts() > q1.size());
+    }
 }

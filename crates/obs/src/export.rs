@@ -121,66 +121,6 @@ pub fn level_growth_csv(profile: &ChaseProfile) -> String {
     s
 }
 
-/// Renders a profile rollup as one JSON object, the HTTP-exportable shape
-/// the `flqd` server returns from `GET /profile`.
-///
-/// The object is flat except for two arrays: `rule_firings` (twelve
-/// counters, `ρ1` first; ρ4's slot counts EGD merge rounds) and
-/// `level_growth` (`[level, created, invented]` triples, ascending).
-/// Span timings are keyed by span name (`span_nanos_<name>` /
-/// `span_count_<name>`). Only string keys and unsigned integers appear,
-/// so the output round-trips through any JSON parser — including the
-/// strict flat-object parser in this module, once the two arrays are
-/// removed.
-pub fn profile_json(profile: &ChaseProfile) -> String {
-    let mut s = String::with_capacity(512);
-    s.push('{');
-    let _ = write!(s, "\"observed_depth\":{}", profile.observed_depth);
-    let _ = write!(s, ",\"theorem_bound\":{}", profile.theorem_bound);
-    let _ = write!(s, ",\"level_bound\":{}", profile.level_bound);
-    let _ = write!(s, ",\"egd_terms_merged\":{}", profile.egd_terms_merged);
-    let _ = write!(s, ",\"egd_max_depth\":{}", profile.egd_max_depth);
-    let _ = write!(s, ",\"nulls_invented\":{}", profile.nulls_invented);
-    let _ = write!(s, ",\"hom_expansions\":{}", profile.hom_expansions);
-    let _ = write!(s, ",\"hom_backtracks\":{}", profile.hom_backtracks);
-    let _ = write!(s, ",\"hom_prunes\":{}", profile.hom_prunes);
-    let _ = write!(s, ",\"cache_hits\":{}", profile.cache_hits);
-    let _ = write!(s, ",\"cache_misses\":{}", profile.cache_misses);
-    let _ = write!(s, ",\"governor_stops\":{}", profile.governor_stops);
-    let _ = write!(s, ",\"discovery_chunks\":{}", profile.discovery_chunks);
-    let _ = write!(s, ",\"dropped\":{}", profile.dropped);
-    for kind in SpanKind::ALL {
-        let _ = write!(
-            s,
-            ",\"span_nanos_{}\":{}",
-            kind.name(),
-            profile.span_nanos[kind.index()]
-        );
-        let _ = write!(
-            s,
-            ",\"span_count_{}\":{}",
-            kind.name(),
-            profile.span_counts[kind.index()]
-        );
-    }
-    s.push_str(",\"rule_firings\":[");
-    for (i, count) in profile.rule_firings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{count}");
-    }
-    s.push_str("],\"level_growth\":[");
-    for (i, lg) in profile.level_growth.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "[{},{},{}]", lg.level, lg.created, lg.inventions);
-    }
-    s.push_str("]}");
-    s
-}
-
 /// A scalar value in a flat JSONL event object.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Scalar {
@@ -481,50 +421,6 @@ mod tests {
         ] {
             assert!(parse_event_line(bad_line).is_err(), "{bad_line}");
         }
-    }
-
-    #[test]
-    fn profile_json_exports_every_counter_and_both_arrays() {
-        let events: Vec<Recorded> = all_events()
-            .into_iter()
-            .enumerate()
-            .map(|(i, event)| Recorded {
-                worker: 0,
-                seq: i as u64,
-                event,
-            })
-            .collect();
-        let snapshot = TraceSnapshot { events, dropped: 2 };
-        let profile = ChaseProfile::from_snapshot(&snapshot);
-        let json = profile_json(&profile);
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        for key in [
-            "\"observed_depth\":",
-            "\"theorem_bound\":16",
-            "\"level_bound\":4",
-            "\"egd_terms_merged\":3",
-            "\"nulls_invented\":1",
-            "\"hom_expansions\":1",
-            "\"cache_hits\":1",
-            "\"governor_stops\":1",
-            "\"discovery_chunks\":1",
-            "\"dropped\":2",
-            "\"span_nanos_decide\":987",
-            "\"span_count_decide\":1",
-            "\"rule_firings\":[",
-            "\"level_growth\":[",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // Twelve rule slots, comma-separated inside the array.
-        let rules = json
-            .split("\"rule_firings\":[")
-            .nth(1)
-            .and_then(|rest| rest.split(']').next())
-            .unwrap();
-        assert_eq!(rules.split(',').count(), RULE_COUNT, "{rules}");
-        // Level-growth triples stay [level,created,invented].
-        assert!(json.contains("\"level_growth\":[[0,"), "{json}");
     }
 
     #[test]

@@ -317,7 +317,7 @@ mod tests {
         let raw: Vec<u8> = [
             &b"GET /metrics HTTP/1.1\r\n\r\n"[..],
             &b"POST /v1/contains HTTP/1.1\r\ncontent-length: 2\r\n\r\nhi"[..],
-            &b"GET /profile HTTP/1.1\r\nconnection: close\r\n\r\n"[..],
+            &b"GET /v1/status HTTP/1.1\r\nconnection: close\r\n\r\n"[..],
         ]
         .concat();
         let (first, used) = complete(&raw, 1024);
@@ -326,7 +326,7 @@ mod tests {
         assert_eq!(second.path, "/v1/contains");
         assert_eq!(second.body, b"hi");
         let (third, used3) = complete(&raw[used + used2..], 1024);
-        assert_eq!(third.path, "/profile");
+        assert_eq!(third.path, "/v1/status");
         assert!(third.close);
         assert_eq!(used + used2 + used3, raw.len());
     }

@@ -38,10 +38,10 @@
 //!   the reactor (see [`obs`]).
 //!
 //! Endpoints: `POST /v1/contains`, `POST /v1/contains_batch`,
-//! `GET /metrics` (Prometheus; `?format=text` for the legacy
-//! `name value` lines), `GET /v1/status`, `GET /profile`. See
-//! `docs/ARCHITECTURE.md` for the request lifecycle and `docs/CLI.md`
-//! for the `flqd` / `flq serve` flags.
+//! `GET /metrics` (Prometheus), `GET /v1/status`. The per-rule chase
+//! profile of one pair is `flq profile q1 q2`, not a server endpoint.
+//! See `docs/ARCHITECTURE.md` for the request lifecycle and
+//! `docs/CLI.md` for the `flqd` / `flq serve` flags.
 //!
 //! [`DecisionCache`]: flogic_core::DecisionCache
 //! [`SnapshotCache`]: snapshots::SnapshotCache

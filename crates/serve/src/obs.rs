@@ -3,14 +3,14 @@
 //!
 //! Every request carries a [`ReqMeta`] from the moment its bytes parse
 //! to the moment its response bytes reach the socket. The embedded
-//! [`RequestSpan`] times seven named stages — `parse`, `queue`,
-//! `canon`, `cache`, `decide`, `serialize`, `write` — and the metadata
-//! around it records what the request *was*: endpoint, status, verdict,
-//! cache outcome, failure cause, bytes in and out. When the write stage
-//! closes, the reactor hands the finished meta to [`ServerObs::record`],
-//! which feeds the per-stage and per-endpoint [`Histogram`]s behind
-//! `GET /metrics` and `GET /v1/status`, and — when `--access-log` is
-//! set — emits one JSONL line.
+//! [`RequestSpan`] times eight named stages — `parse`, `queue`,
+//! `decode`, `canon`, `cache`, `decide`, `serialize`, `write` — and the
+//! metadata around it records what the request *was*: endpoint, status,
+//! verdict, cache outcome, failure cause, bytes in and out. When the
+//! write stage closes, the reactor hands the finished meta to
+//! [`ServerObs::record`], which feeds the per-stage and per-endpoint
+//! [`Histogram`]s behind `GET /metrics` and `GET /v1/status`, and — when
+//! `--access-log` is set — emits one JSONL line.
 //!
 //! The hot path stays cheap by construction: histograms are relaxed
 //! atomics, the span is a fixed inline array, and the access-log line
@@ -32,10 +32,13 @@ use flogic_obs::{Histogram, HistogramSnapshot, RequestSpan};
 use crate::server::ServerConfig;
 
 /// The named pipeline stages, in request order. Each gets its own
-/// histogram series under `flqd_stage_duration_nanoseconds`.
-pub const STAGES: [&str; 7] = [
+/// histogram series under `flqd_stage_duration_nanoseconds`. `decode`
+/// covers the JSON body and the query parses, so `canon` times
+/// canonicalization alone.
+pub const STAGES: [&str; 8] = [
     "parse",
     "queue",
+    "decode",
     "canon",
     "cache",
     "decide",
@@ -63,19 +66,16 @@ pub enum Endpoint {
     Metrics,
     /// `GET /v1/status`.
     Status,
-    /// `GET /profile`.
-    Profile,
     /// Anything else: unknown paths, refused parses, early rejections.
     Other,
 }
 
 /// Every endpoint, in the order their histograms are indexed.
-pub const ENDPOINTS: [Endpoint; 6] = [
+pub const ENDPOINTS: [Endpoint; 5] = [
     Endpoint::Contains,
     Endpoint::Batch,
     Endpoint::Metrics,
     Endpoint::Status,
-    Endpoint::Profile,
     Endpoint::Other,
 ];
 
@@ -87,7 +87,6 @@ impl Endpoint {
             Endpoint::Batch => "batch",
             Endpoint::Metrics => "metrics",
             Endpoint::Status => "status",
-            Endpoint::Profile => "profile",
             Endpoint::Other => "other",
         }
     }
@@ -98,8 +97,7 @@ impl Endpoint {
             Endpoint::Batch => 1,
             Endpoint::Metrics => 2,
             Endpoint::Status => 3,
-            Endpoint::Profile => 4,
-            Endpoint::Other => 5,
+            Endpoint::Other => 4,
         }
     }
 }

@@ -36,8 +36,6 @@ use flogic_core::{
     CoreError, QueryKey, Verdict,
 };
 use flogic_model::ConjunctiveQuery;
-use flogic_obs::export::profile_json;
-use flogic_obs::{ChaseProfile, TraceHandle, Tracer};
 use flogic_store::DurableDecisionCache;
 use flogic_syntax::parse_query;
 use flogic_term::Metrics;
@@ -228,7 +226,6 @@ pub(crate) struct Shared {
     base_opts: ContainmentOptions,
     decisions: DurableDecisionCache,
     snapshots: SnapshotCache,
-    profile: Mutex<ChaseProfile>,
     /// The bounded dispatch queue feeding the worker pool.
     pub(crate) jobs: Mutex<VecDeque<Job>>,
     pub(crate) jobs_cv: Condvar,
@@ -295,7 +292,6 @@ impl Server {
                 snapshots,
                 obs,
                 decisions,
-                profile: Mutex::new(ChaseProfile::default()),
                 jobs: Mutex::new(VecDeque::new()),
                 jobs_cv: Condvar::new(),
                 completions: Mutex::new(Vec::new()),
@@ -340,13 +336,12 @@ impl Server {
 
 /// Dispatches one request to its endpoint. Called from worker threads.
 /// Fills `meta.endpoint` so per-endpoint histograms and the access log
-/// name what actually ran; the query string (split off before matching)
-/// selects presentation variants like `/metrics?format=text`.
+/// name what actually ran. A query string is ignored.
 pub(crate) fn route(shared: &Arc<Shared>, req: &Request, meta: &mut ReqMeta) -> Response {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
-    };
+    let path = req
+        .path
+        .split_once('?')
+        .map_or(req.path.as_str(), |(p, _)| p);
     match (req.method.as_str(), path) {
         ("POST", "/v1/contains") => {
             meta.endpoint = Endpoint::Contains;
@@ -358,26 +353,13 @@ pub(crate) fn route(shared: &Arc<Shared>, req: &Request, meta: &mut ReqMeta) -> 
         }
         ("GET", "/metrics") => {
             meta.endpoint = Endpoint::Metrics;
-            if query == "format=text" {
-                Response::text(200, metrics_text(shared))
-            } else {
-                Response::with_content_type(
-                    200,
-                    PROMETHEUS_CONTENT_TYPE,
-                    metrics_prometheus(shared),
-                )
-            }
+            Response::with_content_type(200, PROMETHEUS_CONTENT_TYPE, metrics_prometheus(shared))
         }
         ("GET", "/v1/status") => {
             meta.endpoint = Endpoint::Status;
             Response::json(200, status_json(shared))
         }
-        ("GET", "/profile") => {
-            meta.endpoint = Endpoint::Profile;
-            let profile = shared.profile.lock().expect("profile poisoned");
-            Response::json(200, profile_json(&profile))
-        }
-        (_, "/v1/contains" | "/v1/contains_batch" | "/v1/status" | "/metrics" | "/profile") => {
+        (_, "/v1/contains" | "/v1/contains_batch" | "/v1/status" | "/metrics") => {
             ApiError::method_not_allowed(&req.method, path).to_response()
         }
         _ => ApiError::not_found(path).to_response(),
@@ -403,12 +385,9 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
         (Ok(q1), Ok(q2)) => (q1, q2),
         (Err(e), _) | (_, Err(e)) => return e.to_response(),
     };
-    let tracer = Tracer::with_default_capacity();
-    let mut opts = req.opts.apply(&shared.base_opts);
-    opts.trace = TraceHandle::enabled(&tracer);
-    let out = decide_pair(shared, &q1, &q2, &opts, Some(meta));
-    absorb_trace(shared, &tracer);
-    match out {
+    let opts = req.opts.apply(&shared.base_opts);
+    meta.span.mark("decode");
+    match decide_pair(shared, &q1, &q2, &opts, Some(meta)) {
         Ok(result) => {
             meta.verdict = Some(verdict_name(&result));
             Response::json(200, api::verdict_json(&result))
@@ -447,9 +426,8 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
         };
         parsed.push((q1, q2));
     }
-    let tracer = Tracer::with_default_capacity();
-    let mut opts = req.opts.apply(&shared.base_opts);
-    opts.trace = TraceHandle::enabled(&tracer);
+    let opts = req.opts.apply(&shared.base_opts);
+    meta.span.mark("decode");
     // Dedup is sound exactly when the canonical substitution would run
     // for the pair anyway: canonicalization on and no level-bound cap
     // that could undercut the derived Theorem 12 bound (flqd requests
@@ -491,14 +469,10 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
         };
         match out {
             Ok(result) => results.push(result),
-            Err(e) => {
-                absorb_trace(shared, &tracer);
-                return api::core_error(&e).to_response();
-            }
+            Err(e) => return api::core_error(&e).to_response(),
         }
     }
     meta.span.mark("decide");
-    absorb_trace(shared, &tracer);
     Response::json(200, api::batch_json(&results))
 }
 
@@ -591,76 +565,7 @@ fn parse_wire_query(text: &str) -> Result<ConjunctiveQuery, ApiError> {
     parse_query(text).map_err(|e| ApiError::parse_error(e.to_string()))
 }
 
-/// Folds a request's trace into the server-lifetime profile served by
-/// `GET /profile`.
-fn absorb_trace(shared: &Arc<Shared>, tracer: &Arc<Tracer>) {
-    let request_profile = ChaseProfile::from_snapshot(&tracer.snapshot());
-    let mut profile = shared.profile.lock().expect("profile poisoned");
-    profile.absorb(&request_profile);
-}
-
-/// The `GET /metrics` body: the process-wide engine counters
-/// ([`Metrics::render_text`]) plus the server's own gauges, same
-/// `name value` line format.
-fn metrics_text(shared: &Arc<Shared>) -> String {
-    use std::fmt::Write as _;
-    let mut s = Metrics::global().snapshot().render_text();
-    let stats = shared.snapshots.stats();
-    let _ = writeln!(
-        s,
-        "flqd_requests_total {}",
-        shared.requests_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(
-        s,
-        "flqd_rejected_total {}",
-        shared.rejected_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(
-        s,
-        "flqd_connections_total {}",
-        shared.connections_total.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(s, "flqd_snapshot_hits {}", stats.hits);
-    let _ = writeln!(s, "flqd_snapshot_misses {}", stats.misses);
-    let _ = writeln!(s, "flqd_snapshot_evictions {}", stats.evictions);
-    let _ = writeln!(s, "flqd_snapshot_uncacheable {}", stats.uncacheable);
-    let _ = writeln!(s, "flqd_snapshot_resident_bytes {}", stats.resident_bytes);
-    let _ = writeln!(
-        s,
-        "flqd_snapshot_resident_entries {}",
-        stats.resident_entries
-    );
-    let _ = writeln!(
-        s,
-        "flqd_snapshot_cap_bytes {}",
-        shared.snapshots.cap_bytes()
-    );
-    let _ = writeln!(s, "flqd_decision_cache_entries {}", shared.decisions.len());
-    if let Some(store) = shared.decisions.store() {
-        let durable = shared.decisions.durable_stats();
-        let store_stats = store.stats();
-        let _ = writeln!(s, "flqd_store_disk_hits {}", durable.disk_hits);
-        let _ = writeln!(s, "flqd_store_disk_misses {}", durable.disk_misses);
-        let _ = writeln!(s, "flqd_store_disk_errors {}", durable.disk_errors);
-        let _ = writeln!(s, "flqd_store_segments {}", store_stats.segments);
-        let _ = writeln!(
-            s,
-            "flqd_store_segment_entries {}",
-            store_stats.segment_entries
-        );
-        let _ = writeln!(
-            s,
-            "flqd_store_memtable_entries {}",
-            store_stats.memtable_entries
-        );
-        let _ = writeln!(s, "flqd_store_wal_bytes {}", store_stats.wal_bytes);
-        let _ = writeln!(s, "flqd_store_generation {}", store_stats.generation);
-    }
-    s
-}
-
-/// The default `GET /metrics` body: Prometheus text exposition
+/// The `GET /metrics` body: Prometheus text exposition
 /// (format 0.0.4). Every family gets its `# TYPE` header and at least
 /// one sample line, so scrapers and the exposition checker never see a
 /// headerless series or a sampleless family. Latency histograms use
@@ -786,8 +691,8 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> String {
         "counter",
         snap.batch_dedup_hits,
     );
-    // Process-global canonicalization counters, mirrored from the legacy
-    // text exposition so `--no-canon` vs canon-on is scrapeable.
+    // Process-global canonicalization counters, so `--no-canon` vs
+    // canon-on is scrapeable.
     let global = Metrics::global().snapshot();
     simple(
         &mut s,

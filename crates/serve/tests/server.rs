@@ -131,8 +131,7 @@ fn contains_and_batch_answer_real_verdicts() {
     assert_eq!(status, 200);
     assert!(body.contains("\"verdict\":\"holds\""), "{body}");
 
-    // Metrics and profile report the work. The default /metrics body is
-    // Prometheus exposition; ?format=text keeps the legacy flat lines.
+    // The Prometheus exposition reports the work.
     let (status, metrics) = exchange(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     assert!(
@@ -147,14 +146,14 @@ fn contains_and_batch_answer_real_verdicts() {
         metrics.contains("flqd_stage_duration_nanoseconds_bucket{stage=\"decide\",le=\"+Inf\"}"),
         "{metrics}"
     );
-    let (status, metrics) = exchange(addr, "GET", "/metrics?format=text", "");
-    assert_eq!(status, 200);
-    assert!(metrics.contains("flq_chase_runs "), "{metrics}");
-    assert!(metrics.contains("flqd_requests_total "), "{metrics}");
-    assert!(metrics.contains("flqd_snapshot_hits "), "{metrics}");
-    let (status, profile) = exchange(addr, "GET", "/profile", "");
-    assert_eq!(status, 200);
-    assert!(profile.contains("\"rule_firings\":["), "{profile}");
+    assert!(metrics.contains("\nflqd_requests_total "), "{metrics}");
+    assert!(
+        metrics.contains("\nflqd_snapshot_cache_hits_total "),
+        "{metrics}"
+    );
+    // The server keeps no chase profile: `flq profile` is the per-rule view.
+    let (status, body) = exchange(addr, "GET", "/profile", "");
+    assert_eq!(status, 404, "{body}");
 
     handle.shutdown();
     join.join().expect("join").expect("clean drain");

@@ -293,39 +293,6 @@ impl MetricsSnapshot {
         let total = self.chase_nanos + self.hom_nanos;
         (total > 0).then(|| self.chase_nanos as f64 / total as f64)
     }
-
-    /// Renders the snapshot in the plain-text exposition format scrape
-    /// endpoints expect (one `flq_<counter> <value>` line per counter,
-    /// ending with a newline) — the body of the `flqd` server's
-    /// `GET /metrics`. Every counter is always present, so scrapers see a
-    /// stable schema.
-    pub fn render_text(&self) -> String {
-        let rows: [(&str, u64); 15] = [
-            ("flq_chase_runs", self.chase_runs),
-            ("flq_chase_nanos", self.chase_nanos),
-            ("flq_hom_searches", self.hom_searches),
-            ("flq_hom_nanos", self.hom_nanos),
-            ("flq_cache_hits", self.cache_hits),
-            ("flq_cache_misses", self.cache_misses),
-            ("flq_analysis_early_false", self.analysis_early_false),
-            ("flq_analysis_early_true", self.analysis_early_true),
-            ("flq_analysis_chased", self.analysis_chased),
-            ("flq_governor_deadline_hits", self.governor_deadline_hits),
-            ("flq_governor_budget_hits", self.governor_budget_hits),
-            ("flq_governor_cancellations", self.governor_cancellations),
-            ("flq_canon_keys", self.canon_keys),
-            ("flq_canon_reduced", self.canon_reduced),
-            ("flq_canon_nanos", self.canon_nanos),
-        ];
-        let mut out = String::with_capacity(rows.len() * 32);
-        for (name, value) in rows {
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&value.to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for MetricsSnapshot {
@@ -492,27 +459,6 @@ mod tests {
         // fetch_add wraps, but each addend is already pinned; assert the
         // run counters still advance).
         assert_eq!((s.chase_runs, s.hom_searches), (1, 1));
-    }
-
-    #[test]
-    fn render_text_lists_every_counter_once() {
-        let m = Metrics::default();
-        m.record_chase(Duration::from_nanos(5));
-        m.record_cache_hit();
-        let text = m.snapshot().render_text();
-        assert!(text.ends_with('\n'));
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 15, "stable scrape schema");
-        assert!(lines.contains(&"flq_chase_runs 1"));
-        assert!(lines.contains(&"flq_cache_hits 1"));
-        assert!(lines.contains(&"flq_governor_cancellations 0"));
-        assert!(lines.contains(&"flq_canon_keys 0"));
-        for line in lines {
-            let mut parts = line.split(' ');
-            assert!(parts.next().unwrap().starts_with("flq_"));
-            parts.next().unwrap().parse::<u64>().unwrap();
-            assert_eq!(parts.next(), None);
-        }
     }
 
     #[test]

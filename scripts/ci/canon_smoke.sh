@@ -81,7 +81,7 @@ for pair in "${pairs[@]}"; do
     echo "  $v_on  $q1 vs $q2"
 done
 
-echo "== canon counters live on GET /metrics (prometheus + legacy text) =="
+echo "== canon counters live on GET /metrics =="
 metrics_on=$(request "$ADDR_ON" GET /metrics)
 metrics_off=$(request "$ADDR_OFF" GET /metrics)
 canon_keys=$(grep -o 'flqd_canon_keys_total [0-9]*' <<<"$metrics_on" | awk '{print $2}')
@@ -89,10 +89,6 @@ canon_keys=$(grep -o 'flqd_canon_keys_total [0-9]*' <<<"$metrics_on" | awk '{pri
 canon_keys_off=$(grep -o 'flqd_canon_keys_total [0-9]*' <<<"$metrics_off" | awk '{print $2}')
 [ "${canon_keys_off:-0}" -eq 0 ] || { echo "--no-canon server canonicalized anyway" >&2; exit 1; }
 echo "  canon-on flqd_canon_keys_total=$canon_keys, --no-canon flqd_canon_keys_total=$canon_keys_off"
-legacy_on=$(request "$ADDR_ON" GET '/metrics?format=text')
-legacy_keys=$(grep -o 'flq_canon_keys [0-9]*' <<<"$legacy_on" | awk '{print $2}')
-[ "${legacy_keys:-0}" -gt 0 ] || { echo "legacy text exposition lost flq_canon_keys" >&2; exit 1; }
-echo "  legacy flq_canon_keys=$legacy_keys"
 
 echo "== variant storm verifies against local ground truth in both modes =="
 # 4 mutated respellings of every base pair; --verify recomputes each

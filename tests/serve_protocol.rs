@@ -220,10 +220,10 @@ fn one_connection_serves_many_requests() {
         let (status, _headers, body) = read_response(&mut reader);
         assert_eq!(status, 200, "request {i}: {body}");
     }
-    // The legacy flat metrics (read over the same connection — request
-    // n+1) agree this was a single connection carrying all traffic.
+    // The metrics (read over the same connection — request n+1) agree
+    // this was a single connection carrying all traffic.
     writer
-        .write_all(b"GET /metrics?format=text HTTP/1.1\r\nhost: t\r\n\r\n")
+        .write_all(b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n")
         .unwrap();
     let (status, _headers, metrics) = read_response(&mut reader);
     assert_eq!(status, 200);
@@ -446,7 +446,14 @@ fn access_log_lines_parse_back() {
         assert_eq!(obj.get("status").and_then(|v| v.as_u64()), Some(200));
         assert_eq!(obj.get("verdict").and_then(|v| v.as_str()), Some("holds"));
         let stages = obj.get("stages").and_then(|v| v.as_obj()).unwrap();
-        for stage in ["parse_us", "queue_us", "canon_us", "cache_us", "write_us"] {
+        for stage in [
+            "parse_us",
+            "queue_us",
+            "decode_us",
+            "canon_us",
+            "cache_us",
+            "write_us",
+        ] {
             assert!(
                 stages.contains_key(stage),
                 "line {i} missing {stage}: {line}"
