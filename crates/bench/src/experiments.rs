@@ -1739,7 +1739,8 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         )
     };
     // One counter line of the GET /metrics body (keys carry a trailing
-    // space so e.g. `flqd_snapshot_hits` never matches a longer name).
+    // space so a family never matches a longer name). A missing family is
+    // a renamed or dropped metric, not a zero.
     let scrape = |addr: &str, key: &str| -> u64 {
         let (status, body) = wire::get(addr, "/metrics").expect("metrics");
         assert_eq!(status, 200, "{body}");
@@ -1748,7 +1749,7 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
                 l.strip_prefix(key)
                     .and_then(|rest| rest.trim().parse().ok())
             })
-            .unwrap_or(0)
+            .unwrap_or_else(|| panic!("GET /metrics has no `{key}` sample"))
     };
     let pct = |hits: u64, misses: u64| -> f64 {
         if hits + misses == 0 {
@@ -1805,13 +1806,13 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         latencies.sort();
         let p50 = latencies[latencies.len() / 2];
 
-        let h0 = scrape(&addr, "flqd_snapshot_hits ");
-        let s0 = scrape(&addr, "flqd_snapshot_misses ");
+        let h0 = scrape(&addr, "flqd_snapshot_cache_hits_total ");
+        let s0 = scrape(&addr, "flqd_snapshot_cache_misses_total ");
         for (q1, q2) in &fresh_texts {
             post(&mut client, q1, q2);
         }
-        let snap_hits = scrape(&addr, "flqd_snapshot_hits ") - h0;
-        let snap_misses = scrape(&addr, "flqd_snapshot_misses ") - s0;
+        let snap_hits = scrape(&addr, "flqd_snapshot_cache_hits_total ") - h0;
+        let snap_misses = scrape(&addr, "flqd_snapshot_cache_misses_total ") - s0;
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
 

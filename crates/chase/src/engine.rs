@@ -258,6 +258,13 @@ impl Chase {
         });
         self.redirect.push(id.0);
         self.canon.insert(atom, id);
+        self.index(id, atom);
+        Some((id, true))
+    }
+
+    /// Appends live root `id` to the per-predicate and per-position lists
+    /// of `atom`.
+    fn index(&mut self, id: ConjunctId, atom: Atom) {
         self.by_pred[atom.pred().index()].push(id);
         for (pos, &term) in atom.args().iter().enumerate() {
             self.by_pos
@@ -265,7 +272,13 @@ impl Chase {
                 .or_default()
                 .push(id);
         }
-        Some((id, true))
+    }
+
+    /// Live root ids with `term` at argument `pos` of a `pred` conjunct.
+    fn posting(&self, pred: Pred, pos: u8, term: Term) -> &[ConjunctId] {
+        self.by_pos
+            .get(&(pred, pos, term))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Candidate conjuncts for matching `pattern` under the partial rule
@@ -275,21 +288,29 @@ impl Chase {
     /// concrete chase value and indexes fine.) Every candidate still
     /// requires full unification.
     fn candidates(&self, pattern: &Atom, s: &Subst) -> &[ConjunctId] {
+        let image = |arg: Term| if arg.is_var() { s.get(arg) } else { Some(arg) };
+        self.most_selective(pattern, image)
+    }
+
+    /// Live root ids that may match `probe`, every variable of which
+    /// counts as unbound: the shortest `(predicate, position, term)` list
+    /// over its non-variable positions, or every live conjunct of its
+    /// predicate. Lists hold live roots in ascending id order. This is
+    /// the lookup the homomorphism search runs on a chase, with the
+    /// search's binding already applied to `probe`.
+    pub fn probe_candidates(&self, probe: &Atom) -> &[ConjunctId] {
+        self.most_selective(probe, |arg| (!arg.is_var()).then_some(arg))
+    }
+
+    /// The shortest index list over the positions of `pattern` that `key`
+    /// maps to a term, or the per-predicate list when it maps none.
+    fn most_selective(&self, pattern: &Atom, key: impl Fn(Term) -> Option<Term>) -> &[ConjunctId] {
         let mut best: Option<&[ConjunctId]> = None;
         for (pos, &arg) in pattern.args().iter().enumerate() {
-            let effective = if arg.is_var() {
-                match s.get(arg) {
-                    Some(image) => image,
-                    None => continue,
-                }
-            } else {
-                arg
+            let Some(term) = key(arg) else {
+                continue;
             };
-            let list: &[ConjunctId] = self
-                .by_pos
-                .get(&(pattern.pred(), pos as u8, effective))
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
+            let list = self.posting(pattern.pred(), pos as u8, term);
             if best.map_or(true, |b| list.len() < b.len()) {
                 best = Some(list);
             }
@@ -552,13 +573,8 @@ impl Chase {
             for &fid in &self.by_pred[Pred::Funct.index()] {
                 let f = &self.nodes[fid.index()].atom;
                 let (a, o) = (f.arg(0), f.arg(1));
-                let data_on_o: &[ConjunctId] = self
-                    .by_pos
-                    .get(&(Pred::Data, 0, o))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[]);
                 let mut first: Option<Term> = None;
-                for &did in data_on_o {
+                for &did in self.posting(Pred::Data, 0, o) {
                     let d = &self.nodes[did.index()].atom;
                     if d.arg(0) == o && d.arg(1) == a {
                         match first {
@@ -663,14 +679,7 @@ impl Chase {
             if !self.is_live(id) {
                 continue;
             }
-            let atom = self.nodes[id.index()].atom;
-            self.by_pred[atom.pred().index()].push(id);
-            for (pos, &term) in atom.args().iter().enumerate() {
-                self.by_pos
-                    .entry((atom.pred(), pos as u8, term))
-                    .or_default()
-                    .push(id);
-            }
+            self.index(id, self.nodes[id.index()].atom);
         }
     }
 
@@ -738,9 +747,7 @@ impl Chase {
                 }
                 return;
             }
-            // Cloned because recursion re-borrows the chase.
-            let candidates: Vec<ConjunctId> = chase.candidates(&body[idx], &s).to_vec();
-            for cid in candidates {
+            for &cid in chase.candidates(&body[idx], &s) {
                 let target = &chase.nodes[cid.index()].atom;
                 if let Some(s2) = unify(&body[idx], target, &s) {
                     matched.push(cid);
@@ -781,11 +788,7 @@ impl Chase {
             .find(|&(_, &t)| t != ex)
             .map(|(pos, &t)| (pos as u8, t));
         let ids: &[ConjunctId] = match probe {
-            Some((pos, t)) => self
-                .by_pos
-                .get(&(head.pred(), pos, t))
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]),
+            Some((pos, t)) => self.posting(head.pred(), pos, t),
             None => &self.by_pred[head.pred().index()],
         };
         ids.iter()

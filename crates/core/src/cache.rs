@@ -33,21 +33,21 @@
 //! query, not its core, and must never be replayed across bounds.
 //!
 //! Cache hits/misses and canonicalization passes are reported to the
-//! process-global [`flogic_term::Metrics`] (`flq_canon_*` counters),
-//! which `flq --metrics` and the benchmark harness print.
+//! process-global [`flogic_term::Metrics`], which `flq --metrics` and the
+//! benchmark harness print and `flqd` exports as the
+//! `flqd_canon_{keys,reduced,nanoseconds}_total` Prometheus families.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
-use flogic_chase::ChaseOutcome;
 use flogic_hom::classic_core;
 use flogic_model::{Atom, ConjunctiveQuery, Pred};
 use flogic_term::{Metrics, Symbol, Term};
 
 use crate::decide::{
-    contains_batch, contains_with, derived_bound, ContainmentOptions, ContainmentResult, Verdict,
+    contains_batch, contains_with, derived_bound, ContainmentOptions, ContainmentResult,
 };
 use crate::CoreError;
 
@@ -311,8 +311,9 @@ fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
 /// traffic: it substitutes the representatives up front and runs the
 /// whole decision stack on them.
 ///
-/// The pass is recorded on the process-global [`Metrics`]
-/// (`flq_canon_keys`, `flq_canon_reduced`, `flq_canon_nanos`).
+/// The pass is recorded on the process-global [`Metrics`] (exported by
+/// `flqd` as `flqd_canon_keys_total`, `flqd_canon_reduced_total` and
+/// `flqd_canon_nanoseconds_total`).
 ///
 /// ```
 /// use flogic_core::canonical_query;
@@ -405,7 +406,7 @@ impl QueryKey {
     /// The semantic canonical key of `q`: its classic core under the
     /// deterministic total ordering. Invariant under renaming, body
     /// permutation, and redundant-atom insertion. Records the pass on
-    /// the global `flq_canon_*` metrics.
+    /// the global [`Metrics`] (`flqd_canon_*_total` in `flqd`).
     pub fn of(q: &ConjunctiveQuery) -> QueryKey {
         QueryKey(semantic_parts(q).0)
     }
@@ -532,55 +533,15 @@ impl<'a> PairKeyer<'a> {
     }
 }
 
-/// A cached verdict: everything in a [`ContainmentResult`] except the
-/// witnessing homomorphism, which is expressed in the original queries'
-/// variables and does not survive canonical renaming.
-#[derive(Clone, Debug)]
-struct CachedDecision {
-    verdict: Verdict,
-    vacuous: bool,
-    chase_conjuncts: usize,
-    chase_outcome: ChaseOutcome,
-    level_bound: u32,
-    max_chase_level: u32,
-    decided_by_analysis: bool,
-}
-
-impl CachedDecision {
-    fn strip(r: &ContainmentResult) -> CachedDecision {
-        CachedDecision {
-            verdict: r.verdict,
-            vacuous: r.vacuous,
-            chase_conjuncts: r.chase_conjuncts,
-            chase_outcome: r.chase_outcome,
-            level_bound: r.level_bound,
-            max_chase_level: r.max_chase_level,
-            decided_by_analysis: r.decided_by_analysis,
-        }
-    }
-
-    fn restore(&self) -> ContainmentResult {
-        ContainmentResult {
-            verdict: self.verdict,
-            vacuous: self.vacuous,
-            witness: None,
-            chase_conjuncts: self.chase_conjuncts,
-            chase_outcome: self.chase_outcome,
-            level_bound: self.level_bound,
-            max_chase_level: self.max_chase_level,
-            decided_by_analysis: self.decided_by_analysis,
-        }
-    }
-}
-
 /// A memo table for containment decisions (see the module docs).
 ///
 /// Thread-safe (a mutex around a hash map — lookups are far cheaper than
-/// the decisions they save, so contention is not a concern). Cached
-/// results carry no [`ContainmentResult::witness`]; ask the uncached
-/// [`crate::contains_with`] when the homomorphism itself is needed. A
-/// miss is always computed on the *original* pair, so the first caller
-/// does get its witness in its own variable names.
+/// the decisions they save, so contention is not a concern). The table
+/// stores each decided [`ContainmentResult`] itself, minus its
+/// [`witness`](ContainmentResult::witness), so hits carry none; ask the
+/// uncached [`crate::contains_with`] when the homomorphism itself is
+/// needed. A miss is always computed on the *original* pair, so the first
+/// caller does get its witness in its own variable names.
 ///
 /// ```
 /// use flogic_core::DecisionCache;
@@ -596,7 +557,7 @@ impl CachedDecision {
 /// ```
 #[derive(Debug, Default)]
 pub struct DecisionCache {
-    inner: Mutex<HashMap<CacheKey, CachedDecision>>,
+    inner: Mutex<HashMap<CacheKey, ContainmentResult>>,
 }
 
 impl DecisionCache {
@@ -620,7 +581,7 @@ impl DecisionCache {
         self.inner.lock().expect("decision cache poisoned").clear();
     }
 
-    fn lookup(&self, key: &CacheKey) -> Option<CachedDecision> {
+    fn lookup(&self, key: &CacheKey) -> Option<ContainmentResult> {
         let hit = self
             .inner
             .lock()
@@ -646,10 +607,15 @@ impl DecisionCache {
         if result.is_exhausted() {
             return;
         }
-        self.inner
-            .lock()
-            .expect("decision cache poisoned")
-            .insert(key, CachedDecision::strip(result));
+        // The witness is expressed in the original queries' variables and
+        // does not survive canonical renaming.
+        self.inner.lock().expect("decision cache poisoned").insert(
+            key,
+            ContainmentResult {
+                witness: None,
+                ..*result
+            },
+        );
     }
 
     /// [`crate::contains`] through the cache.
@@ -699,7 +665,7 @@ impl DecisionCache {
         opts.trace
             .emit(|| flogic_obs::ChaseEvent::CacheLookup { hit: was_hit });
         if let Some(hit) = hit {
-            return Ok(hit.restore());
+            return Ok(hit);
         }
         let result = compute()?;
         self.store(key, &result);
@@ -740,7 +706,7 @@ impl DecisionCache {
                 out.push(None);
                 was_hit = true;
             } else if let Some(d) = self.lookup(key) {
-                out.push(Some(Ok(d.restore())));
+                out.push(Some(Ok(d)));
                 was_hit = true;
             } else {
                 rep.insert(key, i);
@@ -770,7 +736,10 @@ impl DecisionCache {
                 // variables, not this occurrence's; strip it like any
                 // other cache hit.
                 out[i] = Some(match out[r].as_ref().expect("representative filled") {
-                    Ok(res) => Ok(CachedDecision::strip(res).restore()),
+                    Ok(res) => Ok(ContainmentResult {
+                        witness: None,
+                        ..*res
+                    }),
                     Err(e) => Err(e.clone()),
                 });
             }

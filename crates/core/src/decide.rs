@@ -4,12 +4,12 @@ use std::sync::Arc;
 
 use flogic_analysis::{classify_rule_set, direct_unsat, QueryAnalysis};
 use flogic_chase::{chase_bounded, Budget, Chase, ChaseOptions, ChaseOutcome, ExhaustReason};
-use flogic_hom::{find_hom_traced, Target};
+use flogic_hom::find_hom_traced;
 use flogic_model::{ConjunctiveQuery, RuleSet};
 use flogic_obs::{ChaseEvent, SpanKind, TraceHandle};
-use flogic_term::{Metrics, Subst};
+use flogic_term::{Metrics, Subst, Term};
 
-use crate::CoreError;
+use crate::{ChaseSnapshot, CoreError};
 
 /// Options for [`contains_with`].
 ///
@@ -287,130 +287,136 @@ pub fn contains_with(
         theorem_bound: u64::from(theorem),
     });
     if opts.analysis {
-        if let Some(early) = analyze_pair(q1, q2, bound, &opts.sigma) {
+        let analysis = QueryAnalysis::for_rules(q1, &opts.sigma);
+        if let Some(early) =
+            analysis_verdict(visible_clash(q1, &opts.sigma), &analysis, q2, bound, None)
+        {
             return Ok(early);
         }
-        Metrics::global().record_analysis_chased();
     }
-    let chase = chase_bounded(
-        q1,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    )?;
-    match chase.outcome() {
-        ChaseOutcome::Failed { .. } => {
-            // q1 is unsatisfiable under Σ_FL: q1(B) = ∅ for every admissible
-            // B, so q1 ⊆ q2 for every q2 of the same arity.
-            return Ok(ContainmentResult {
-                verdict: Verdict::Holds,
-                vacuous: true,
-                witness: None,
-                chase_conjuncts: chase.len(),
-                chase_outcome: chase.outcome(),
-                level_bound: bound,
-                max_chase_level: chase.max_level(),
-                decided_by_analysis: false,
+    let chase = chase_to(q1, bound, opts)?;
+    Ok(chase_verdict(&chase, q2, bound, &opts.trace))
+}
+
+/// Chases `q1` to `bound` levels under the chase knobs of `opts`.
+pub(crate) fn chase_to(
+    q1: &ConjunctiveQuery,
+    bound: u32,
+    opts: &ContainmentOptions,
+) -> Result<Chase, CoreError> {
+    let chase_opts = ChaseOptions {
+        level_bound: bound,
+        max_conjuncts: opts.max_conjuncts,
+        threads: opts.threads,
+        budget: opts.budget.clone(),
+        trace: opts.trace.clone(),
+        sigma: opts.sigma.clone(),
+    };
+    Ok(chase_bounded(q1, &chase_opts)?)
+}
+
+/// The statically visible ρ4 clash of `q1`, if any. The shortcut is
+/// specific to `Σ_FL`'s EGD; under a custom rule set it is skipped
+/// (soundly: it only ever *adds* an early answer).
+pub(crate) fn visible_clash(q1: &ConjunctiveQuery, sigma: &RuleSet) -> Option<(Term, Term)> {
+    sigma.is_sigma_fl().then(|| direct_unsat(q1)).flatten()
+}
+
+/// The static fast paths of [`ContainmentOptions::analysis`]. `Some`
+/// means the verdict is already certain and agrees with what the chase
+/// would say (see the soundness arguments in `flogic-analysis::fastpath`
+/// and `DESIGN.md`):
+///
+/// * a visible ρ4 clash (`unsat`) fails the chase of `q1` in its first
+///   EGD phase at every bound, so the pair holds vacuously;
+/// * when `q2` needs a predicate `chase(q1)` can never contain, and that
+///   chase cannot fail, the pair does not hold. The result reports the
+///   `resident` chase's statistics when there is one, else an empty run.
+///
+/// `None` records the pair as chased: [`chase_verdict`] decides it.
+pub(crate) fn analysis_verdict(
+    unsat: Option<(Term, Term)>,
+    analysis: &QueryAnalysis,
+    q2: &ConjunctiveQuery,
+    bound: u32,
+    resident: Option<&Chase>,
+) -> Option<ContainmentResult> {
+    let metrics = Metrics::global();
+    let (verdict, vacuous, chase_outcome, chase_conjuncts, max_chase_level) =
+        if let Some((left, right)) = unsat {
+            metrics.record_analysis_early_true();
+            (
+                Verdict::Holds,
+                true,
+                ChaseOutcome::Failed { left, right },
+                0,
+                0,
+            )
+        } else if analysis.refutes_hom(q2) {
+            metrics.record_analysis_early_false();
+            let (outcome, len, level) = resident.map_or((ChaseOutcome::Completed, 0, 0), |c| {
+                (c.outcome(), c.len(), c.max_level())
             });
-        }
-        ChaseOutcome::Exhausted { reason } => {
-            return Ok(exhausted_result(&chase, bound, reason));
-        }
-        ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
-    }
-    let target = Target::from_chase(&chase);
-    let witness = find_hom_traced(q2.body(), q2.head(), &target, chase.head(), &opts.trace);
-    Ok(ContainmentResult {
-        verdict: if witness.is_some() {
-            Verdict::Holds
+            (Verdict::NotHolds, false, outcome, len, level)
         } else {
-            Verdict::NotHolds
-        },
-        vacuous: false,
+            metrics.record_analysis_chased();
+            return None;
+        };
+    Some(ContainmentResult {
+        verdict,
+        vacuous,
+        witness: None,
+        chase_conjuncts,
+        chase_outcome,
+        level_bound: bound,
+        max_chase_level,
+        decided_by_analysis: true,
+    })
+}
+
+/// Decides `q1 ⊆_ΣFL q2` from a chase of `q1` built to `bound` levels:
+///
+/// * a failed chase means `q1` is unsatisfiable under Σ (`q1(B) = ∅` on
+///   every admissible `B`), so the pair holds vacuously;
+/// * an exhausted chase is a prefix, so the question stays undecided; the
+///   partial statistics ride along so callers can report how far the run
+///   got;
+/// * otherwise the homomorphism search on the chase's own index decides.
+pub(crate) fn chase_verdict(
+    chase: &Chase,
+    q2: &ConjunctiveQuery,
+    bound: u32,
+    trace: &TraceHandle,
+) -> ContainmentResult {
+    let (verdict, vacuous, witness) = match chase.outcome() {
+        ChaseOutcome::Failed { .. } => (Verdict::Holds, true, None),
+        ChaseOutcome::Exhausted { reason } => (Verdict::Exhausted(reason), false, None),
+        ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {
+            let witness = find_hom_traced(q2.body(), q2.head(), chase, chase.head(), trace);
+            let verdict = if witness.is_some() {
+                Verdict::Holds
+            } else {
+                Verdict::NotHolds
+            };
+            (verdict, false, witness)
+        }
+    };
+    ContainmentResult {
+        verdict,
+        vacuous,
         witness,
         chase_conjuncts: chase.len(),
         chase_outcome: chase.outcome(),
         level_bound: bound,
         max_chase_level: chase.max_level(),
         decided_by_analysis: false,
-    })
-}
-
-/// The undecided result for a chase stopped by the governor: the partial
-/// statistics (conjuncts materialized, deepest level completed) ride along
-/// so callers can report how far the run got.
-pub(crate) fn exhausted_result(
-    chase: &Chase,
-    bound: u32,
-    reason: ExhaustReason,
-) -> ContainmentResult {
-    ContainmentResult {
-        verdict: Verdict::Exhausted(reason),
-        vacuous: false,
-        witness: None,
-        chase_conjuncts: chase.len(),
-        chase_outcome: chase.outcome(),
-        level_bound: bound,
-        max_chase_level: chase.max_level(),
-        decided_by_analysis: false,
     }
-}
-
-/// Runs the two static fast paths for one pair. `Some` means the verdict
-/// is already certain (and agrees with what the chase would say — see the
-/// soundness arguments in `flogic-analysis::fastpath` and `DESIGN.md`).
-fn analyze_pair(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    bound: u32,
-    sigma: &Arc<RuleSet>,
-) -> Option<ContainmentResult> {
-    // The visible-ρ4-violation shortcut is specific to Σ_FL's EGD; under
-    // a custom rule set it is skipped (soundly: it only ever *adds* an
-    // early answer).
-    if sigma.is_sigma_fl() {
-        if let Some((left, right)) = direct_unsat(q1) {
-            // The chase of q1 fails in its first Datalog/EGD phase at every
-            // level bound: vacuous containment, no chase needed.
-            Metrics::global().record_analysis_early_true();
-            return Some(ContainmentResult {
-                verdict: Verdict::Holds,
-                vacuous: true,
-                witness: None,
-                chase_conjuncts: 0,
-                chase_outcome: ChaseOutcome::Failed { left, right },
-                level_bound: bound,
-                max_chase_level: 0,
-                decided_by_analysis: true,
-            });
-        }
-    }
-    let analysis = QueryAnalysis::for_rules(q1, sigma);
-    if analysis.refutes_hom(q2) {
-        // q2 needs a predicate chase(q1) can never contain, and the chase
-        // provably cannot fail: the containment is definitely false.
-        Metrics::global().record_analysis_early_false();
-        return Some(ContainmentResult {
-            verdict: Verdict::NotHolds,
-            vacuous: false,
-            witness: None,
-            chase_conjuncts: 0,
-            chase_outcome: ChaseOutcome::Completed,
-            level_bound: bound,
-            max_chase_level: 0,
-            decided_by_analysis: true,
-        });
-    }
-    None
 }
 
 /// Decides `q1 ⊆_ΣFL q2` for every `q2` in `q2s`, **sharing one chase of
-/// `q1`** across all candidates instead of rebuilding it per pair.
+/// `q1`** across all candidates instead of rebuilding it per pair: one
+/// [`ChaseSnapshot`] is built and every slot is its
+/// [`ChaseSnapshot::contains`].
 ///
 /// The shared chase is built to the *largest* per-pair bound (the maximum
 /// of `opts.level_bound` or the per-pair Theorem 12 bounds). This stays
@@ -419,6 +425,12 @@ fn analyze_pair(
 /// `Σ_FL`), and Theorem 12 guarantees that when containment holds a
 /// witness exists already within the pair's own — hence also within the
 /// larger shared — bound. Each result reports the shared bound.
+///
+/// Each slot is decided in [`contains_with`]'s order: the analysis fast
+/// paths answer first, then the chase outcome (failed: vacuous; exhausted:
+/// undecided), then the homomorphism search. So a pair the analyzer
+/// settles gets the same verdict in a batch as alone, even when the
+/// shared chase ran out of budget.
 ///
 /// Candidates whose arity differs from `q1` get
 /// [`CoreError::ArityMismatch`] in their slot; one pair failing does not
@@ -442,16 +454,13 @@ pub fn contains_batch(
     q2s: &[ConjunctiveQuery],
     opts: &ContainmentOptions,
 ) -> Vec<Result<ContainmentResult, CoreError>> {
-    let bound = q2s
-        .iter()
-        .filter(|q2| q2.arity() == q1.arity())
+    let same_arity = || q2s.iter().filter(|q2| q2.arity() == q1.arity());
+    let bound = same_arity()
         .map(|q2| sigma_bound(opts, q1.size(), q2.size()))
         .max()
         .unwrap_or(0);
     let _decide_span = opts.trace.span(SpanKind::Decide);
-    let theorem = q2s
-        .iter()
-        .filter(|q2| q2.arity() == q1.arity())
+    let theorem = same_arity()
         .map(|q2| theorem_bound(q1, q2))
         .max()
         .unwrap_or(0);
@@ -459,125 +468,12 @@ pub fn contains_batch(
         level_bound: u64::from(bound),
         theorem_bound: u64::from(theorem),
     });
-    if opts.analysis && opts.sigma.is_sigma_fl() {
-        if let Some((left, right)) = direct_unsat(q1) {
-            // One visible ρ4 violation settles every same-arity slot
-            // without building the shared chase at all.
-            return q2s
-                .iter()
-                .map(|q2| {
-                    if q2.arity() != q1.arity() {
-                        return Err(CoreError::ArityMismatch {
-                            q1: q1.arity(),
-                            q2: q2.arity(),
-                        });
-                    }
-                    Metrics::global().record_analysis_early_true();
-                    Ok(ContainmentResult {
-                        verdict: Verdict::Holds,
-                        vacuous: true,
-                        witness: None,
-                        chase_conjuncts: 0,
-                        chase_outcome: ChaseOutcome::Failed { left, right },
-                        level_bound: bound,
-                        max_chase_level: 0,
-                        decided_by_analysis: true,
-                    })
-                })
-                .collect();
-        }
-    }
-    let analysis = opts
-        .analysis
-        .then(|| QueryAnalysis::for_rules(q1, &opts.sigma));
-    let chase = match chase_bounded(
-        q1,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    ) {
-        Ok(chase) => chase,
+    match ChaseSnapshot::build(q1, bound, opts) {
+        Ok(snapshot) => q2s.iter().map(|q2| snapshot.contains(q2, opts)).collect(),
         // A worker panic poisons only this batch call, not the process;
         // every slot reports the same error.
-        Err(e) => {
-            let err = CoreError::from(e);
-            return q2s.iter().map(|_| Err(err.clone())).collect();
-        }
-    };
-    let failed = chase.is_failed();
-    let exhausted = match chase.outcome() {
-        ChaseOutcome::Exhausted { reason } => Some(reason),
-        _ => None,
-    };
-    let target = if failed || exhausted.is_some() {
-        Target::default()
-    } else {
-        Target::from_chase(&chase)
-    };
-    q2s.iter()
-        .map(|q2| {
-            if q2.arity() != q1.arity() {
-                return Err(CoreError::ArityMismatch {
-                    q1: q1.arity(),
-                    q2: q2.arity(),
-                });
-            }
-            if let Some(reason) = exhausted {
-                // Undecided for every slot, with the shared partial stats.
-                return Ok(exhausted_result(&chase, bound, reason));
-            }
-            if failed {
-                return Ok(ContainmentResult {
-                    verdict: Verdict::Holds,
-                    vacuous: true,
-                    witness: None,
-                    chase_conjuncts: chase.len(),
-                    chase_outcome: chase.outcome(),
-                    level_bound: bound,
-                    max_chase_level: chase.max_level(),
-                    decided_by_analysis: false,
-                });
-            }
-            if let Some(a) = &analysis {
-                if a.refutes_hom(q2) {
-                    // Skip the hom search: q2 needs a predicate the shared
-                    // chase cannot contain.
-                    Metrics::global().record_analysis_early_false();
-                    return Ok(ContainmentResult {
-                        verdict: Verdict::NotHolds,
-                        vacuous: false,
-                        witness: None,
-                        chase_conjuncts: chase.len(),
-                        chase_outcome: chase.outcome(),
-                        level_bound: bound,
-                        max_chase_level: chase.max_level(),
-                        decided_by_analysis: true,
-                    });
-                }
-                Metrics::global().record_analysis_chased();
-            }
-            let witness = find_hom_traced(q2.body(), q2.head(), &target, chase.head(), &opts.trace);
-            Ok(ContainmentResult {
-                verdict: if witness.is_some() {
-                    Verdict::Holds
-                } else {
-                    Verdict::NotHolds
-                },
-                vacuous: false,
-                witness,
-                chase_conjuncts: chase.len(),
-                chase_outcome: chase.outcome(),
-                level_bound: bound,
-                max_chase_level: chase.max_level(),
-                decided_by_analysis: false,
-            })
-        })
-        .collect()
+        Err(err) => q2s.iter().map(|_| Err(err.clone())).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -880,6 +776,54 @@ mod tests {
         let q2 = q("qq() :- sub(X, Y).");
         let r = contains(&q1, &q2).unwrap();
         assert!(r.holds() && r.is_vacuous());
+    }
+
+    #[test]
+    fn every_entry_point_decides_alike_under_tight_budgets() {
+        // The analyzer refutes this pair before any chase. A budget that
+        // stops the chase must not turn that answer into `Exhausted` on
+        // one entry point while the others answer `NotHolds`; with the
+        // analysis off, all three report the same undecided verdict.
+        let q1 = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
+        let q2 = q("p(X, Z) :- member(X, Z).");
+        let deadline = ContainmentOptions {
+            budget: Budget::with_timeout(std::time::Duration::ZERO),
+            ..Default::default()
+        };
+        let conjuncts = ContainmentOptions {
+            max_conjuncts: 2,
+            ..Default::default()
+        };
+        for (tight, reason) in [
+            (deadline, ExhaustReason::Deadline),
+            (conjuncts, ExhaustReason::Conjuncts),
+        ] {
+            for analysis in [true, false] {
+                let opts = ContainmentOptions {
+                    analysis,
+                    ..tight.clone()
+                };
+                let single = contains_with(&q1, &q2, &opts).unwrap();
+                let batch = contains_batch(&q1, std::slice::from_ref(&q2), &opts)
+                    .remove(0)
+                    .unwrap();
+                let snapshot = ChaseSnapshot::build(&q1, theorem_bound(&q1, &q2), &opts)
+                    .unwrap()
+                    .contains(&q2, &opts)
+                    .unwrap();
+                let facts =
+                    |r: &ContainmentResult| (r.verdict(), r.is_vacuous(), r.decided_by_analysis());
+                let want = if analysis {
+                    (Verdict::NotHolds, false, true)
+                } else {
+                    (Verdict::Exhausted(reason), false, false)
+                };
+                let case = format!("{reason:?} budget, analysis {analysis}");
+                assert_eq!(facts(&single), want, "contains_with, {case}");
+                assert_eq!(facts(&batch), want, "contains_batch, {case}");
+                assert_eq!(facts(&snapshot), want, "ChaseSnapshot, {case}");
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 
 use std::fmt;
 
-use flogic_chase::{chase_bounded, Chase, ChaseOptions, ChaseOutcome, ConjunctId};
-use flogic_hom::{find_hom, Target};
+use flogic_chase::{Chase, ChaseOutcome, ConjunctId};
+use flogic_hom::find_hom;
 use flogic_model::{Atom, ConjunctiveQuery, RuleId};
 
-use crate::decide::ContainmentOptions;
+use crate::decide::{chase_to, ContainmentOptions};
 use crate::CoreError;
 
 /// One step of a derivation: `conclusion` was obtained by applying `rule`
@@ -137,17 +137,7 @@ pub fn explain(
         });
     }
     let bound = crate::decide::sigma_bound(opts, q1.size(), q2.size());
-    let chase = chase_bounded(
-        q1,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    )?;
+    let chase = chase_to(q1, bound, opts)?;
     match chase.outcome() {
         ChaseOutcome::Failed { .. } => return Ok(Explanation::Vacuous),
         ChaseOutcome::Exhausted { reason } => {
@@ -160,8 +150,7 @@ pub fn explain(
         }
         ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
     }
-    let target = Target::from_chase(&chase);
-    let Some(hom) = find_hom(q2.body(), q2.head(), &target, chase.head()) else {
+    let Some(hom) = find_hom(q2.body(), q2.head(), &chase, chase.head()) else {
         return Ok(Explanation::NotContained);
     };
     let mut atom_images = Vec::new();

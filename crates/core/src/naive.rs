@@ -10,7 +10,7 @@
 //! suite compares this baseline against the bounded procedure.
 
 use flogic_chase::{chase_bounded, ChaseOptions, ChaseOutcome};
-use flogic_hom::{find_hom, Target};
+use flogic_hom::find_hom;
 use flogic_model::ConjunctiveQuery;
 
 use crate::CoreError;
@@ -67,8 +67,7 @@ pub fn contains_naive(
             }
             ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
         }
-        let target = Target::from_chase(&chase);
-        if find_hom(q2.body(), q2.head(), &target, chase.head()).is_some() {
+        if find_hom(q2.body(), q2.head(), &chase, chase.head()).is_some() {
             return Ok(NaiveOutcome::Holds { level });
         }
         if chase.outcome() == ChaseOutcome::Completed {

@@ -1,37 +1,37 @@
 //! Reusable chase snapshots: decide many `q2`s against one resident
 //! chase of `q1`.
 //!
-//! [`contains_batch`](crate::contains_batch) already shares one chase
-//! across the candidates of a single call, but the chase dies with the
-//! call. A [`ChaseSnapshot`] makes the shared chase a first-class value
-//! that can outlive the request that built it — the containment server
-//! (`flqd`, crate `flogic-serve`) keeps a byte-capped LRU of them so that
-//! repeated questions about the same `q1` skip straight to the
-//! homomorphism search.
+//! A [`ChaseSnapshot`] is one chase of `q1` as a first-class value.
+//! [`contains_batch`](crate::contains_batch) builds one per call and
+//! decides every candidate against it; the containment server (`flqd`,
+//! crate `flogic-serve`) keeps a byte-capped LRU of them so that repeated
+//! questions about the same `q1` skip straight to the homomorphism
+//! search.
 //!
-//! Soundness and completeness of reuse are the same argument as for the
-//! batch API: a homomorphism into any prefix of `chase_ΣFL(q1)` witnesses
-//! containment (the chase is a model of `q1` and `Σ_FL`), and Theorem 12
-//! guarantees that when `q1 ⊆_ΣFL q2` holds a witness already exists
-//! within the pair's own bound `2·|q1|·|q2|` — hence also within any
-//! larger snapshot bound. [`ChaseSnapshot::contains`] therefore returns
-//! **verdict-identical** answers to [`contains_with`] whenever the
-//! snapshot [`covers`](ChaseSnapshot::covers) the pair, and falls back to
-//! a fresh decision when it does not, so it is *always* safe to call.
+//! Reuse is sound and complete: a homomorphism into any prefix of
+//! `chase_ΣFL(q1)` witnesses containment (the chase is a model of `q1`
+//! and `Σ_FL`), and Theorem 12 guarantees that when `q1 ⊆_ΣFL q2` holds
+//! a witness already exists within the pair's own bound `2·|q1|·|q2|` —
+//! hence also within any larger snapshot bound.
+//! [`ChaseSnapshot::contains`] therefore returns **verdict-identical**
+//! answers to [`contains_with`] whenever the snapshot
+//! [`covers`](ChaseSnapshot::covers) the pair, and falls back to a fresh
+//! decision when it does not, so it is *always* safe to call.
 
-use flogic_analysis::{direct_unsat, QueryAnalysis};
-use flogic_chase::{chase_bounded, Chase, ChaseOptions, ChaseOutcome};
-use flogic_hom::{find_hom_traced, Target};
+use flogic_analysis::QueryAnalysis;
+use flogic_chase::Chase;
 use flogic_model::ConjunctiveQuery;
-use flogic_term::{Metrics, Term};
+use flogic_term::Term;
 
 use crate::decide::{
-    contains_with, exhausted_result, ContainmentOptions, ContainmentResult, Verdict,
+    analysis_verdict, chase_to, chase_verdict, contains_with, derived_bound, visible_clash,
+    ContainmentOptions, ContainmentResult,
 };
 use crate::CoreError;
 
-/// A resident, reusable chase of one `q1`, with its homomorphism-search
-/// index and static-analysis summary precomputed.
+/// A resident, reusable chase of one `q1`, with its static-analysis
+/// summary precomputed. The homomorphism search runs on the chase's own
+/// atom index, so the snapshot holds its atoms once.
 ///
 /// ```
 /// use flogic_core::{theorem_bound, ChaseSnapshot, ContainmentOptions};
@@ -48,9 +48,6 @@ use crate::CoreError;
 pub struct ChaseSnapshot {
     q1: ConjunctiveQuery,
     chase: Chase,
-    /// Indexed hom-search target; empty when the chase failed or was
-    /// exhausted (no hom search happens in either case).
-    target: Target,
     /// The level bound the chase was built to.
     bound: u32,
     /// Statically visible ρ4 clash of `q1`, precomputed for the
@@ -63,45 +60,27 @@ pub struct ChaseSnapshot {
 
 impl ChaseSnapshot {
     /// Builds the snapshot: one level-`bound` chase of `q1` plus the
-    /// hom-search index and the static-analysis summary.
+    /// static-analysis summary.
     ///
     /// `opts.level_bound` is ignored (the explicit `bound` wins);
     /// `opts.max_conjuncts`, `opts.threads`, `opts.budget` and
     /// `opts.trace` govern the build exactly as they govern
     /// [`contains_with`]. A build stopped by the budget still returns a
     /// snapshot — [`is_exhausted`](ChaseSnapshot::is_exhausted) is then
-    /// true and every [`contains`](ChaseSnapshot::contains) reports the
-    /// undecided verdict — so callers can decide whether to keep it
-    /// (resident caches should not).
+    /// true and every [`contains`](ChaseSnapshot::contains) the analysis
+    /// cannot settle reports the undecided verdict — so callers can decide
+    /// whether to keep it (resident caches should not).
     pub fn build(
         q1: &ConjunctiveQuery,
         bound: u32,
         opts: &ContainmentOptions,
     ) -> Result<ChaseSnapshot, CoreError> {
-        let chase = chase_bounded(
-            q1,
-            &ChaseOptions {
-                level_bound: bound,
-                max_conjuncts: opts.max_conjuncts,
-                threads: opts.threads,
-                budget: opts.budget.clone(),
-                trace: opts.trace.clone(),
-                sigma: opts.sigma.clone(),
-            },
-        )?;
-        let target = if chase.is_failed() || chase.is_exhausted() {
-            Target::default()
-        } else {
-            Target::from_chase(&chase)
-        };
         Ok(ChaseSnapshot {
             q1: q1.clone(),
-            target,
+            chase: chase_to(q1, bound, opts)?,
             bound,
-            // The ρ4 shortcut only applies under Σ_FL itself.
-            unsat: opts.sigma.is_sigma_fl().then(|| direct_unsat(q1)).flatten(),
+            unsat: visible_clash(q1, &opts.sigma),
             analysis: QueryAnalysis::for_rules(q1, &opts.sigma),
-            chase,
         })
     }
 
@@ -122,9 +101,9 @@ impl ChaseSnapshot {
 
     /// True when the build was stopped by its resource budget: the chase
     /// is a prefix and every [`contains`](ChaseSnapshot::contains) that
-    /// reaches it reports [`Verdict::Exhausted`]. Resident caches should
-    /// drop such snapshots (the undecidedness is a property of the build
-    /// budget, not of `q1`).
+    /// reaches it reports [`Verdict::Exhausted`](crate::Verdict::Exhausted).
+    /// Resident caches should drop such snapshots (the undecidedness is a
+    /// property of the build budget, not of `q1`).
     pub fn is_exhausted(&self) -> bool {
         self.chase.is_exhausted()
     }
@@ -136,10 +115,11 @@ impl ChaseSnapshot {
     }
 
     /// Approximate resident bytes: the chase graph's own accounting (the
-    /// quantity [`flogic_chase::Budget::max_bytes`] caps) plus the
-    /// hom-search index. Used by byte-capped snapshot caches.
+    /// quantity [`flogic_chase::Budget::max_bytes`] caps), which includes
+    /// the atom index the homomorphism search runs on. Used by
+    /// byte-capped snapshot caches.
     pub fn approx_bytes(&self) -> usize {
-        self.chase.approx_bytes() + self.target.approx_bytes()
+        self.chase.approx_bytes()
     }
 
     /// True when this snapshot's bound suffices to decide `q1 ⊆_ΣFL q2`
@@ -148,23 +128,26 @@ impl ChaseSnapshot {
     /// (`min(opts.level_bound, theorem)`, or the Theorem 12 bound when no
     /// explicit bound is set).
     pub fn covers(&self, q2: &ConjunctiveQuery, opts: &ContainmentOptions) -> bool {
-        let theorem = crate::decide::derived_bound(opts, self.q1.size(), q2.size());
+        let theorem = derived_bound(opts, self.q1.size(), q2.size());
         let effective = opts.level_bound.map_or(theorem, |b| b.min(theorem));
         self.bound >= effective
     }
 
     /// Decides `q1 ⊆_ΣFL q2` against the resident chase.
     ///
-    /// Verdicts are identical to [`contains_with`] — the analysis fast
-    /// paths run in the same order, the same homomorphism search runs
-    /// against the same (shared, possibly deeper) chase, and exhausted
-    /// builds report [`Verdict::Exhausted`] just like a budgeted fresh
-    /// run. When the snapshot does not [`covers`](ChaseSnapshot::covers)
-    /// the pair (its bound is too shallow), the call transparently falls
-    /// back to a fresh [`contains_with`] so the answer is still exact.
-    /// Reported metadata (`level_bound`, `chase_conjuncts`) describes the
-    /// shared chase, exactly as [`contains_batch`](crate::contains_batch)
-    /// reports its shared bound.
+    /// This is [`contains_with`]'s decision tail run on the resident chase
+    /// instead of a fresh one: the analysis fast paths first (they answer
+    /// without consulting the chase), then the chase outcome, then the
+    /// homomorphism search. Verdicts are therefore identical to
+    /// [`contains_with`]'s, and exhausted builds report
+    /// [`Verdict::Exhausted`](crate::Verdict::Exhausted) just like a
+    /// budgeted fresh run. When the snapshot does not
+    /// [`covers`](ChaseSnapshot::covers) the pair (its bound is too
+    /// shallow), the call transparently falls back to a fresh
+    /// [`contains_with`] so the answer is still exact. Reported metadata
+    /// (`level_bound`, `chase_conjuncts`) describes the shared chase,
+    /// exactly as [`contains_batch`](crate::contains_batch) reports its
+    /// shared bound.
     pub fn contains(
         &self,
         q2: &ConjunctiveQuery,
@@ -179,85 +162,23 @@ impl ChaseSnapshot {
         if !self.covers(q2, opts) {
             return contains_with(&self.q1, q2, opts);
         }
-        // Mirror `contains_with` exactly: static fast paths first (they
-        // answer without consulting the chase), then the chase outcome.
         if opts.analysis {
-            if let Some((left, right)) = self.unsat {
-                Metrics::global().record_analysis_early_true();
-                return Ok(ContainmentResult {
-                    verdict: Verdict::Holds,
-                    vacuous: true,
-                    witness: None,
-                    chase_conjuncts: 0,
-                    chase_outcome: ChaseOutcome::Failed { left, right },
-                    level_bound: self.bound,
-                    max_chase_level: 0,
-                    decided_by_analysis: true,
-                });
+            let resident = Some(&self.chase);
+            if let Some(early) =
+                analysis_verdict(self.unsat, &self.analysis, q2, self.bound, resident)
+            {
+                return Ok(early);
             }
-            if self.analysis.refutes_hom(q2) {
-                Metrics::global().record_analysis_early_false();
-                return Ok(ContainmentResult {
-                    verdict: Verdict::NotHolds,
-                    vacuous: false,
-                    witness: None,
-                    chase_conjuncts: self.chase.len(),
-                    chase_outcome: self.chase.outcome(),
-                    level_bound: self.bound,
-                    max_chase_level: self.chase.max_level(),
-                    decided_by_analysis: true,
-                });
-            }
-            Metrics::global().record_analysis_chased();
         }
-        match self.chase.outcome() {
-            ChaseOutcome::Failed { .. } => {
-                return Ok(ContainmentResult {
-                    verdict: Verdict::Holds,
-                    vacuous: true,
-                    witness: None,
-                    chase_conjuncts: self.chase.len(),
-                    chase_outcome: self.chase.outcome(),
-                    level_bound: self.bound,
-                    max_chase_level: self.chase.max_level(),
-                    decided_by_analysis: false,
-                });
-            }
-            ChaseOutcome::Exhausted { reason } => {
-                return Ok(exhausted_result(&self.chase, self.bound, reason));
-            }
-            ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
-        }
-        let witness = find_hom_traced(
-            q2.body(),
-            q2.head(),
-            &self.target,
-            self.chase.head(),
-            &opts.trace,
-        );
-        Ok(ContainmentResult {
-            verdict: if witness.is_some() {
-                Verdict::Holds
-            } else {
-                Verdict::NotHolds
-            },
-            vacuous: false,
-            witness,
-            chase_conjuncts: self.chase.len(),
-            chase_outcome: self.chase.outcome(),
-            level_bound: self.bound,
-            max_chase_level: self.chase.max_level(),
-            decided_by_analysis: false,
-        })
+        Ok(chase_verdict(&self.chase, q2, self.bound, &opts.trace))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decide::contains;
-    use crate::decide::theorem_bound;
-    use flogic_chase::{Budget, ExhaustReason};
+    use crate::decide::{contains, theorem_bound, Verdict};
+    use flogic_chase::ExhaustReason;
     use flogic_syntax::parse_query;
 
     fn q(s: &str) -> ConjunctiveQuery {
@@ -334,25 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn analysis_fast_paths_win_over_exhausted_chase() {
-        // A fresh budgeted run answers early-false via analysis before the
-        // chase can exhaust; the snapshot path must do the same even when
-        // its resident chase is a budget-stopped prefix.
-        let q1 = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
-        let q2 = q("p(X, Z) :- member(X, Z).");
-        let tight = ContainmentOptions {
-            budget: Budget::with_timeout(std::time::Duration::ZERO),
-            ..Default::default()
-        };
-        let fresh = contains_with(&q1, &q2, &tight).unwrap();
-        let snap = ChaseSnapshot::build(&q1, theorem_bound(&q1, &q2), &tight).unwrap();
-        let snapped = snap.contains(&q2, &tight).unwrap();
-        assert_eq!(fresh.verdict(), snapped.verdict());
-        assert_eq!(fresh.verdict(), Verdict::NotHolds);
-        assert!(snapped.decided_by_analysis());
-    }
-
-    #[test]
     fn snapshot_reports_bytes_and_metadata() {
         let q1 = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
         let snap = build(&q1, 8);
@@ -361,6 +263,15 @@ mod tests {
         assert!(snap.chase_conjuncts() >= 2);
         assert!(snap.approx_bytes() > 0);
         assert!(!snap.is_failed() && !snap.is_exhausted());
+    }
+
+    #[test]
+    fn snapshot_is_charged_for_its_chase_alone() {
+        // The hom search runs on the chase's own index: there is no second
+        // copy of the atoms to account for.
+        let snap = build(&q("q() :- mandatory(A, T), type(T, A, T), sub(T, U)."), 6);
+        assert!(snap.chase_conjuncts() > 4);
+        assert_eq!(snap.approx_bytes(), snap.chase.approx_bytes());
     }
 
     #[test]

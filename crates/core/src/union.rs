@@ -13,11 +13,11 @@
 //! * `Q ⊆_ΣFL q` iff **every** disjunct is contained in `q` (union is the
 //!   least upper bound).
 
-use flogic_chase::{chase_bounded, ChaseOptions, ChaseOutcome};
-use flogic_hom::{find_hom, Target};
+use flogic_chase::ChaseOutcome;
+use flogic_hom::find_hom;
 use flogic_model::ConjunctiveQuery;
 
-use crate::decide::{contains_with, ContainmentOptions};
+use crate::decide::{chase_to, contains_with, ContainmentOptions};
 use crate::CoreError;
 
 /// Decides `q ⊆_ΣFL (q2s[0] ∪ q2s[1] ∪ …)`.
@@ -46,17 +46,7 @@ pub fn contained_in_union(
         .map(|q2| crate::decide::sigma_bound(opts, q.size(), q2.size()))
         .max()
         .unwrap_or(0);
-    let chase = chase_bounded(
-        q,
-        &ChaseOptions {
-            level_bound: bound,
-            max_conjuncts: opts.max_conjuncts,
-            threads: opts.threads,
-            budget: opts.budget.clone(),
-            trace: opts.trace.clone(),
-            sigma: opts.sigma.clone(),
-        },
-    )?;
+    let chase = chase_to(q, bound, opts)?;
     match chase.outcome() {
         ChaseOutcome::Failed { .. } => {
             // Vacuous: q is unsatisfiable, hence contained in any non-empty
@@ -73,9 +63,8 @@ pub fn contained_in_union(
         }
         ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
     }
-    let target = Target::from_chase(&chase);
     for (i, q2) in q2s.iter().enumerate() {
-        if find_hom(q2.body(), q2.head(), &target, chase.head()).is_some() {
+        if find_hom(q2.body(), q2.head(), &chase, chase.head()).is_some() {
             return Ok(Some(i));
         }
     }

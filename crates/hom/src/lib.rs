@@ -10,7 +10,9 @@
 //! The search is a backtracking constraint solver over the source atoms:
 //!
 //! * candidate target conjuncts are retrieved through a `(predicate,
-//!   position, term)` index, using the most selective bound position;
+//!   position, term)` index, using the most selective bound position. The
+//!   index is any [`AtomIndex`]: a [`Target`] built over a query body or a
+//!   database, or a [`Chase`](flogic_chase::Chase), searched in place;
 //! * the next source atom to map is chosen dynamically by
 //!   fewest-candidates-first (MRV);
 //! * source constants must map to themselves; source variables bind
@@ -23,4 +25,4 @@ mod target;
 
 pub use core_of::classic_core;
 pub use search::{all_homs, count_homs, find_hom, find_hom_traced, find_hom_unconstrained};
-pub use target::Target;
+pub use target::{AtomIndex, Target};

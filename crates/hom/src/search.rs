@@ -4,7 +4,7 @@ use flogic_model::Atom;
 use flogic_obs::{ChaseEvent, SpanKind, TraceHandle};
 use flogic_term::{Subst, Term};
 
-use crate::Target;
+use crate::AtomIndex;
 
 /// Tries to extend `s` so that the image of `pattern` under the extended
 /// binding equals `target`. Source constants are fixed (Definition 1);
@@ -68,9 +68,9 @@ fn head_binding(source_head: &[Term], target_head: &[Term]) -> Option<Subst> {
 /// `trace` is purely observational: it records node expansions, candidate
 /// prunes and backtracks, but never influences atom ordering or candidate
 /// enumeration (the disabled handle is a single branch per event).
-fn search(
+fn search<T: AtomIndex>(
     source: &[Atom],
-    target: &Target,
+    target: &T,
     s: Subst,
     remaining: &mut Vec<usize>,
     trace: &TraceHandle,
@@ -78,7 +78,7 @@ fn search(
 ) -> bool {
     let Some(best_slot) = (0..remaining.len()).min_by_key(|&slot| {
         let atom = source[remaining[slot]].apply(&s);
-        target.candidate_count(&atom)
+        target.candidates(&atom).len()
     }) else {
         return found(&s);
     };
@@ -90,10 +90,8 @@ fn search(
     // always runs against the original atom so that variable images are
     // compared, never re-bound.
     let index_probe = source[atom_idx].apply(&s);
-    // Candidate list is cloned because recursion re-borrows the target.
-    let candidates: Vec<usize> = target.candidates(&index_probe).to_vec();
-    for cand in candidates {
-        if let Some(s2) = unify(&source[atom_idx], target.atom_at(cand), &s) {
+    for &cand in target.candidates(&index_probe) {
+        if let Some(s2) = unify(&source[atom_idx], target.atom(cand), &s) {
             trace.emit(|| ChaseEvent::HomExpand { depth });
             if search(source, target, s2, remaining, trace, found) {
                 remaining.push(atom_idx); // restore before unwinding
@@ -127,10 +125,10 @@ fn search(
 /// let hom = find_hom(&source, &[v("X")], &target, &[c("john")]).unwrap();
 /// assert_eq!(hom.apply(v("C")), c("student"));
 /// ```
-pub fn find_hom(
+pub fn find_hom<T: AtomIndex>(
     source: &[Atom],
     source_head: &[Term],
-    target: &Target,
+    target: &T,
     target_head: &[Term],
 ) -> Option<Subst> {
     find_hom_traced(
@@ -146,10 +144,10 @@ pub fn find_hom(
 /// plus node expansions, candidate prunes and backtracks. The trace is
 /// purely observational — the search result is bit-identical to
 /// [`find_hom`]'s for every handle.
-pub fn find_hom_traced(
+pub fn find_hom_traced<T: AtomIndex>(
     source: &[Atom],
     source_head: &[Term],
-    target: &Target,
+    target: &T,
     target_head: &[Term],
     trace: &TraceHandle,
 ) -> Option<Subst> {
@@ -171,15 +169,15 @@ pub fn find_hom_traced(
 
 /// Finds a homomorphism from `source` into `target` with no head
 /// constraint (Boolean queries / satisfiability-style checks).
-pub fn find_hom_unconstrained(source: &[Atom], target: &Target) -> Option<Subst> {
+pub fn find_hom_unconstrained<T: AtomIndex>(source: &[Atom], target: &T) -> Option<Subst> {
     find_hom(source, &[], target, &[])
 }
 
 /// Collects up to `limit` homomorphisms (all if `limit == usize::MAX`).
-pub fn all_homs(
+pub fn all_homs<T: AtomIndex>(
     source: &[Atom],
     source_head: &[Term],
-    target: &Target,
+    target: &T,
     target_head: &[Term],
     limit: usize,
 ) -> Vec<Subst> {
@@ -205,10 +203,10 @@ pub fn all_homs(
 }
 
 /// Counts homomorphisms (careful: can be exponential).
-pub fn count_homs(
+pub fn count_homs<T: AtomIndex>(
     source: &[Atom],
     source_head: &[Term],
-    target: &Target,
+    target: &T,
     target_head: &[Term],
 ) -> usize {
     flogic_term::Metrics::global().time_hom(|| {
@@ -235,6 +233,7 @@ pub fn count_homs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Target;
 
     fn c(n: &str) -> Term {
         Term::constant(n)

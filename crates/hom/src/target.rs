@@ -2,9 +2,29 @@
 
 use std::collections::HashMap;
 
-use flogic_chase::Chase;
+use flogic_chase::{Chase, ConjunctId};
 use flogic_model::{Atom, ConjunctiveQuery, Database, Pred};
 use flogic_term::Term;
+
+/// An indexed set of atoms the homomorphism search maps into.
+///
+/// [`Target`] implements it for query bodies and databases, and
+/// [`Chase`] for its own live conjuncts, so a chase is searched in place
+/// through the index it already keeps for rule matching.
+pub trait AtomIndex {
+    /// The handle an index list holds for one atom.
+    type Id: Copy;
+
+    /// Candidate atoms for `probe`, a source atom with the current
+    /// binding applied: the shortest `(predicate, position, term)` list
+    /// over its non-variable positions, or every atom of its predicate
+    /// when all of them are variables. Every candidate still needs a full
+    /// unification check.
+    fn candidates(&self, probe: &Atom) -> &[Self::Id];
+
+    /// The atom `id` names.
+    fn atom(&self, id: Self::Id) -> &Atom;
+}
 
 /// An indexed set of target atoms for homomorphism search.
 ///
@@ -34,12 +54,6 @@ impl Target {
             }
         }
         t
-    }
-
-    /// The conjuncts of a finished chase as a target (Theorem 12's
-    /// right-hand side).
-    pub fn from_chase(chase: &Chase) -> Target {
-        Target::new(chase.conjuncts().map(|(_, a, _)| *a).collect())
     }
 
     /// The body of a query as a target (Chandra–Merlin's canonical
@@ -79,49 +93,47 @@ impl Target {
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
     }
+}
 
-    /// Approximate resident bytes of the target: atom storage plus the
-    /// per-predicate and per-position index entries. Like
-    /// `Chase::approx_bytes` this is a bookkeeping estimate (used by
-    /// byte-capped snapshot caches), not an allocator measurement.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let index_entries: usize = self.by_pred.iter().map(Vec::len).sum::<usize>()
-            + self.by_pos.values().map(Vec::len).sum::<usize>();
-        self.atoms.len() * size_of::<Atom>()
-            + index_entries * size_of::<usize>()
-            + self.by_pos.len() * size_of::<(Pred, u8, Term)>()
-    }
+impl AtomIndex for Target {
+    type Id = usize;
 
-    /// Returns the indices of candidate atoms for `pattern` (whose bound
-    /// positions are ground terms): the most selective index available.
-    /// Every returned candidate still needs a full unification check.
-    pub(crate) fn candidates(&self, pattern: &Atom) -> &[usize] {
+    fn candidates(&self, probe: &Atom) -> &[usize] {
         let mut best: Option<&[usize]> = None;
-        for (pos, &term) in pattern.args().iter().enumerate() {
+        for (pos, &term) in probe.args().iter().enumerate() {
             if term.is_var() {
                 continue;
             }
             let list: &[usize] = self
                 .by_pos
-                .get(&(pattern.pred(), pos as u8, term))
+                .get(&(probe.pred(), pos as u8, term))
                 .map(|v| v.as_slice())
                 .unwrap_or(&[]);
             if best.map_or(true, |b| list.len() < b.len()) {
                 best = Some(list);
             }
         }
-        best.unwrap_or(&self.by_pred[pattern.pred().index()])
+        best.unwrap_or(&self.by_pred[probe.pred().index()])
     }
 
-    /// Number of candidates (used by the MRV heuristic).
-    pub(crate) fn candidate_count(&self, pattern: &Atom) -> usize {
-        self.candidates(pattern).len()
-    }
-
-    /// The atom at internal index `i`.
-    pub(crate) fn atom_at(&self, i: usize) -> &Atom {
+    fn atom(&self, i: usize) -> &Atom {
         &self.atoms[i]
+    }
+}
+
+/// The chase's live conjuncts, through its own live-root index. Its lists
+/// hold live roots in ascending id order, so they name the same atoms in
+/// the same order as a [`Target`] built from [`Chase::conjuncts`]: the
+/// search makes the same choices and finds the same witness on either.
+impl AtomIndex for Chase {
+    type Id = ConjunctId;
+
+    fn candidates(&self, probe: &Atom) -> &[ConjunctId] {
+        self.probe_candidates(probe)
+    }
+
+    fn atom(&self, id: ConjunctId) -> &Atom {
+        Chase::atom(self, id)
     }
 }
 

@@ -20,7 +20,7 @@ use flogic_lite::gen::{
     generalize, generalize_from_chase, random_database, random_query, DbGenConfig,
     GeneralizeConfig, QueryGenConfig,
 };
-use flogic_lite::hom::{find_hom, Target};
+use flogic_lite::hom::{all_homs, find_hom, Target};
 
 fn rng(seed: u64) -> SplitMix64 {
     SplitMix64::seed_from_u64(seed)
@@ -142,8 +142,7 @@ fn not_contained_verdicts_survive_double_depth() {
             !matches!(chase.outcome(), ChaseOutcome::Failed { .. }),
             "verdict would have been vacuous"
         );
-        let target = Target::from_chase(&chase);
-        let hom = find_hom(q2.body(), q2.head(), &target, chase.head());
+        let hom = find_hom(q2.body(), q2.head(), &chase, chase.head());
         assert!(
             hom.is_none(),
             "hom beyond the Theorem 12 bound for seed {seed}: {q1} vs {q2}"
@@ -220,4 +219,64 @@ fn vacuous_verdicts_match_database_emptiness() {
             "vacuously-contained query produced answers on seed {seed}"
         );
     }
+}
+
+#[test]
+fn search_on_the_chase_matches_a_target_copy_of_it() {
+    // The decider searches the chase's own live-root index. A `Target`
+    // built from the chase's live atoms is the independent oracle: its
+    // index lists must name the same atoms in the same order, so both
+    // searches make the same choices and return the same witnesses.
+    let qcfg = QueryGenConfig {
+        n_atoms: 4,
+        n_vars: 4,
+        n_consts: 2,
+        ..Default::default()
+    };
+    let gcfg = GeneralizeConfig::default();
+    let (mut compared, mut witnessed) = (0, 0);
+    for i in 0..60u64 {
+        // E4's pair mix: body generalizations, chase generalizations and
+        // unrelated queries.
+        let q1 = random_query(&qcfg, &mut rng(i));
+        let q2 = match i % 3 {
+            0 => generalize(&q1, &gcfg, &mut rng(i + 10_000)),
+            1 => match generalize_from_chase(&q1, &gcfg, &mut rng(i + 20_000)) {
+                Some(q) => q,
+                None => continue,
+            },
+            _ => random_query(&qcfg, &mut rng(i + 30_000)),
+        };
+        if q2.arity() != q1.arity() {
+            continue;
+        }
+        let chase = chase_bounded(
+            &q1,
+            &ChaseOptions {
+                level_bound: theorem_bound(&q1, &q2),
+                max_conjuncts: 20_000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        if chase.is_failed() || chase.is_exhausted() {
+            continue;
+        }
+        let copy = Target::new(chase.conjuncts().map(|(_, a, _)| *a).collect());
+        let on_chase = find_hom(q2.body(), q2.head(), &chase, chase.head());
+        let on_copy = find_hom(q2.body(), q2.head(), &copy, chase.head());
+        assert_eq!(
+            on_chase, on_copy,
+            "witness differs for pair {i}: {q1} vs {q2}"
+        );
+        assert_eq!(
+            all_homs(q2.body(), q2.head(), &chase, chase.head(), 32),
+            all_homs(q2.body(), q2.head(), &copy, chase.head(), 32),
+            "enumeration order differs for pair {i}"
+        );
+        compared += 1;
+        witnessed += usize::from(on_chase.is_some());
+    }
+    assert!(compared >= 30, "only {compared} pairs compared");
+    assert!(witnessed >= 10, "only {witnessed} pairs had a witness");
 }
