@@ -9,20 +9,13 @@
 //! `--threads N` sets the worker count for the experiments that exercise
 //! the parallel chase engine (`0` = all available cores); `--quick` shrinks
 //! the workloads. Any other flag is an error. Tables are printed to stdout
-//! and exported as CSV under `bench_results/`; each experiment is followed
-//! by the engine metrics it accumulated (chase and hom wall-clock, cache
-//! hits/misses, and the static-analysis fast-path counters, which are also
-//! exported as `bench_results/analysis_counters.csv`). Resource-governor
-//! stops (deadline hits, budget hits, cancellations) are tracked per
-//! experiment and exported as `bench_results/governor_counters.csv`.
-//! E10 additionally exports its aggregate chase profile as
-//! `bench_results/rule_profile.csv` and `bench_results/level_growth.csv`.
+//! and exported as CSV under `bench_results/`. E10 additionally exports
+//! its aggregate chase profile as `bench_results/rule_profile.csv` and
+//! `bench_results/level_growth.csv`.
 
 use std::path::PathBuf;
 
 use flogic_bench::experiments::{self, ExperimentOutput};
-use flogic_bench::table::Table;
-use flogic_term::Metrics;
 
 fn out_dir() -> PathBuf {
     // Relative to the invocation directory (usually the workspace root).
@@ -52,13 +45,7 @@ fn run(id: &str, quick: bool, threads: usize) -> Option<ExperimentOutput> {
                 experiments::e9(5, 8, threads)
             }
         }
-        "e10" => {
-            if quick {
-                experiments::e10(10, 3)
-            } else {
-                experiments::e10(40, 5)
-            }
-        }
+        "e10" => experiments::e10(if quick { 10 } else { 40 }),
         "e11" => {
             if quick {
                 experiments::e11(6, 2)
@@ -134,21 +121,7 @@ fn main() {
     }
 
     let dir = out_dir();
-    let mut counters = Table::new(
-        "Static-analysis fast-path counters per experiment",
-        &["experiment", "early_false", "early_true", "chased"],
-    );
-    let mut governor = Table::new(
-        "Resource-governor stops per experiment",
-        &[
-            "experiment",
-            "deadline_hits",
-            "budget_hits",
-            "cancellations",
-        ],
-    );
     for id in &ids {
-        let before = Metrics::global().snapshot();
         let Some(output) = run(id, quick, threads) else {
             eprintln!("unknown experiment `{id}` (expected e1..e16)");
             std::process::exit(2);
@@ -175,26 +148,7 @@ fn main() {
                 eprintln!("warning: could not write {name}: {e}");
             }
         }
-        let delta = Metrics::global().snapshot().since(&before);
-        println!("[{id} metrics] {delta}\n");
-        counters.push(vec![
-            id.clone(),
-            delta.analysis_early_false.to_string(),
-            delta.analysis_early_true.to_string(),
-            delta.analysis_chased.to_string(),
-        ]);
-        governor.push(vec![
-            id.clone(),
-            delta.governor_deadline_hits.to_string(),
-            delta.governor_budget_hits.to_string(),
-            delta.governor_cancellations.to_string(),
-        ]);
-    }
-    if let Err(e) = counters.write_csv(&dir.join("analysis_counters.csv")) {
-        eprintln!("warning: could not write analysis_counters.csv: {e}");
-    }
-    if let Err(e) = governor.write_csv(&dir.join("governor_counters.csv")) {
-        eprintln!("warning: could not write governor_counters.csv: {e}");
+        println!();
     }
     println!("CSV exports written to {}/", dir.display());
 }

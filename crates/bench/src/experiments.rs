@@ -8,6 +8,7 @@ use flogic_gen::rng::SplitMix64;
 use flogic_analysis::{classify_rule_set, SigmaClass};
 use flogic_chase::{
     chase_bounded, chase_minus, find_mandatory_cycles, to_dot, to_text, ChaseOptions, ChaseOutcome,
+    LevelGrowth,
 };
 use flogic_core::{
     bound_from_sizes, classic_contains, contains, contains_batch, contains_with, naive,
@@ -18,9 +19,9 @@ use flogic_gen::{
     generalize, generalize_from_chase, mutate_variant, random_database, random_query,
     random_rule_set, DbGenConfig, GeneralizeConfig, QueryGenConfig, SigmaGenConfig,
 };
-use flogic_model::{Atom, ConjunctiveQuery, Pred, RuleSet};
+use flogic_model::{Atom, ConjunctiveQuery, Pred, RuleId, RuleSet, SIGMA_RULE_COUNT};
 use flogic_syntax::parse_query;
-use flogic_term::{Metrics, Subst, Symbol, Term};
+use flogic_term::{Subst, Symbol, Term};
 
 use crate::Table;
 
@@ -776,7 +777,6 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
         }
     }
 
-    let metrics = flogic_term::Metrics::global();
     let time_total = |f: &mut dyn FnMut() -> Vec<bool>| -> (Vec<bool>, Duration) {
         let t0 = Instant::now();
         let verdicts = f();
@@ -797,7 +797,6 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
     });
 
     let cache = DecisionCache::new();
-    let before = metrics.snapshot();
     let (cached, t_cache) = time_total(&mut || {
         q2s.iter()
             .map(|q2| {
@@ -808,10 +807,8 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
             })
             .collect()
     });
-    let cache_delta = metrics.snapshot().since(&before);
 
     let cache2 = DecisionCache::new();
-    let before = metrics.snapshot();
     let (cached_batch, t_cache_batch) = time_total(&mut || {
         cache2
             .contains_batch(&q1, &q2s, &copts)
@@ -819,7 +816,6 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
             .map(|r| r.expect("within cap").holds())
             .collect()
     });
-    let cache_batch_delta = metrics.snapshot().since(&before);
 
     assert_eq!(singles, batched, "batch must agree with singles");
     assert_eq!(singles, cached, "cache must agree with singles");
@@ -829,6 +825,11 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
     );
 
     let n = q2s.len();
+    // A cache stores every miss it decided, and this workload decides
+    // every pair within its cap, so the entries are the misses.
+    let hits_misses = |cache: &DecisionCache| [n - cache.len(), cache.len()].map(|c| c.to_string());
+    let [cache_hits, cache_misses] = hits_misses(&cache);
+    let [batch_hits, batch_misses] = hits_misses(&cache2);
     let speedup = |t: Duration| format!("{:.2}x", t_singles.as_secs_f64() / t.as_secs_f64());
     let mut t = Table::new(
         "E9a: repeated-query batch — same verdicts, shared work (expected: speedup > 1 for cache)",
@@ -868,8 +869,8 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
         ms(t_cache),
         per(t_cache),
         speedup(t_cache),
-        cache_delta.cache_hits.to_string(),
-        cache_delta.cache_misses.to_string(),
+        cache_hits,
+        cache_misses,
     ]);
     t.push(vec![
         "DecisionCache + contains_batch".into(),
@@ -877,8 +878,8 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
         ms(t_cache_batch),
         per(t_cache_batch),
         speedup(t_cache_batch),
-        cache_batch_delta.cache_hits.to_string(),
-        cache_batch_delta.cache_misses.to_string(),
+        batch_hits,
+        batch_misses,
     ]);
 
     // Parallel chase: Example 2's infinite chase, cut at a fixed level, is
@@ -942,20 +943,15 @@ pub fn e9(distinct: usize, repeats: usize, threads: usize) -> ExperimentOutput {
 }
 
 // ---------------------------------------------------------------------------
-// E10 — overhead of the tracing layer + exported chase profiles.
+// E10 — the chase profile of the E4 workload.
 // ---------------------------------------------------------------------------
 
-/// E10: A/B microbenchmark of the disabled tracer on the E4 workload, plus
-/// an enabled pass whose aggregate [`ChaseProfile`](flogic_obs::ChaseProfile)
-/// is exported as `rule_profile.csv` and `level_growth.csv`.
-///
-/// The disabled handle is measured twice: the spread between the two
-/// disabled runs is the noise floor the enabled-run overhead must be read
-/// against. The acceptance bar is disabled-vs-disabled ≈ enabled overhead
-/// (the disabled handle costs one branch per site).
-pub fn e10(pairs: usize, reps: usize) -> ExperimentOutput {
-    use flogic_obs::{export, ChaseProfile, TraceHandle, Tracer};
-
+/// E10: every E4-workload pair's `q1` chased to the pair's Theorem 12
+/// bound, summed from what each chase reports by value: per-rule firings
+/// (`rule_profile.csv`; ρ4's row counts EGD merge rounds) and per-level
+/// growth (`level_growth.csv`; `chase⁻` conjuncts at level 0), plus the
+/// observed depth against the bound.
+pub fn e10(pairs: usize) -> ExperimentOutput {
     let qcfg = QueryGenConfig {
         n_atoms: 4,
         n_vars: 4,
@@ -963,115 +959,83 @@ pub fn e10(pairs: usize, reps: usize) -> ExperimentOutput {
         ..Default::default()
     };
     let gcfg = GeneralizeConfig::default();
-    // Pre-generate the workload so every configuration decides the
-    // identical pair list (the E4 generator, first arm).
-    let workload: Vec<(ConjunctiveQuery, ConjunctiveQuery)> = (0..pairs as u64)
-        .map(|i| {
-            let q1 = random_query(&qcfg, &mut rng(i));
-            let q2 = generalize(&q1, &gcfg, &mut rng(i + 10_000));
-            (q1, q2)
-        })
-        .collect();
-
-    let decide_all = |trace: &TraceHandle| -> usize {
-        let opts = ContainmentOptions {
-            max_conjuncts: 50_000,
-            trace: trace.clone(),
-            ..Default::default()
-        };
-        workload
-            .iter()
-            .filter(|(q1, q2)| {
-                contains_with(q1, q2, &opts).is_ok_and(|v| !v.is_exhausted() && v.holds())
-            })
-            .count()
-    };
-
-    // A/B protocol: the disabled handle is benchmarked twice with the
-    // vendored microbench runner (warmed up, batch-sized, min-of-samples),
-    // then the enabled handle with one long-lived tracer (ring allocation
-    // is a per-profiling-session cost, not a per-decision cost). The
-    // minimum is the robust statistic here: the A/B claim is about the
-    // instrumentation's intrinsic cost, not scheduler noise.
-    let mut runner = crate::microbench::Runner::new("e10");
-    runner.samples(reps.max(2)).min_sample_ms(5);
-    runner.bench("disabled_a", || decide_all(&TraceHandle::Disabled));
-    runner.bench("disabled_b", || decide_all(&TraceHandle::Disabled));
-    let tracer = Tracer::with_default_capacity();
-    let enabled_handle = TraceHandle::enabled(&tracer);
-    runner.bench("enabled", || decide_all(&enabled_handle));
-    let [disabled_a, disabled_b, enabled] = runner.results() else {
-        unreachable!("three benches recorded");
-    };
-
-    let pct = |num: f64, base: f64| {
-        if base > 0.0 {
-            format!("{:+.2}%", (num - base) / base * 100.0)
-        } else {
-            "n/a".into()
+    let mut firings = [0usize; SIGMA_RULE_COUNT];
+    let mut levels: Vec<LevelGrowth> = Vec::new();
+    let (mut completed, mut cut, mut nulls) = (0, 0, 0);
+    // The deepest chase: its observed depth and its pair's bound.
+    let mut deepest = (0, 0);
+    for i in 0..pairs as u64 {
+        let q1 = random_query(&qcfg, &mut rng(i));
+        let q2 = generalize(&q1, &gcfg, &mut rng(i + 10_000));
+        let pair_bound = theorem_bound(&q1, &q2);
+        let chase = chase_bounded(
+            &q1,
+            &ChaseOptions {
+                level_bound: pair_bound,
+                max_conjuncts: 50_000,
+                ..Default::default()
+            },
+        )
+        .expect("a sequential chase has no discovery worker to fail");
+        for (sum, n) in firings.iter_mut().zip(chase.stats().rule_firings()) {
+            *sum += n;
         }
-    };
-    let base = disabled_a
-        .min
-        .as_secs_f64()
-        .min(disabled_b.min.as_secs_f64());
+        let growth = chase.level_growth();
+        if levels.len() < growth.len() {
+            levels.resize(growth.len(), LevelGrowth::default());
+        }
+        for (sum, g) in levels.iter_mut().zip(&growth) {
+            sum.created += g.created;
+            sum.invented += g.invented;
+        }
+        completed += usize::from(chase.outcome() == ChaseOutcome::Completed);
+        cut += usize::from(chase.outcome() == ChaseOutcome::LevelBounded);
+        nulls += chase.stats().nulls_invented;
+        if chase.max_level() > deepest.0 {
+            deepest = (chase.max_level(), pair_bound);
+        }
+    }
+
     let mut t = Table::new(
-        "E10: tracer overhead on the E4 workload (expected: disabled A/B within \
-         noise of each other; enabled pays only for event appends)",
+        "E10: chase profile of the E4 workload, each q1 chased to its pair's Theorem 12 \
+         bound (expected: observed depth <= bound on every pair)",
         &[
-            "config",
-            "workload min",
-            "workload median",
-            "vs disabled best",
+            "pairs",
+            "completed",
+            "cut at the bound",
+            "rule firings",
+            "nulls invented",
+            "egd merge rounds",
+            "deepest chase (depth / bound)",
         ],
     );
-    for (label, s) in [
-        ("tracing disabled (run A)", &disabled_a),
-        ("tracing disabled (run B)", &disabled_b),
-        ("tracing enabled", &enabled),
-    ] {
-        t.push(vec![
-            label.into(),
-            micros(s.min),
-            micros(s.median),
-            pct(s.min.as_secs_f64(), base),
-        ]);
+    t.push(vec![
+        pairs.to_string(),
+        completed.to_string(),
+        cut.to_string(),
+        firings.iter().sum::<usize>().to_string(),
+        nulls.to_string(),
+        firings[RuleId::R4.index()].to_string(),
+        format!("{} / {}", deepest.0, deepest.1),
+    ]);
+    let mut rule_csv = String::from("rule,firings\n");
+    for (i, n) in firings.iter().enumerate() {
+        rule_csv += &format!("rho{},{n}\n", i + 1);
     }
-
-    // Profile pass: one tracer per pair (fresh rings, so nothing is
-    // dropped between pairs), aggregated into a single workload profile.
-    let mut profile = ChaseProfile::default();
-    for (q1, q2) in &workload {
-        let tracer = Tracer::with_default_capacity();
-        let opts = ContainmentOptions {
-            max_conjuncts: 50_000,
-            trace: TraceHandle::enabled(&tracer),
-            ..Default::default()
-        };
-        let _ = contains_with(q1, q2, &opts);
-        profile.absorb(&ChaseProfile::from_snapshot(&tracer.snapshot()));
+    let mut level_csv = String::from("level,created,invented\n");
+    for (level, g) in levels.iter().enumerate() {
+        level_csv += &format!("{level},{},{}\n", g.created, g.invented);
     }
-
     ExperimentOutput {
         tables: vec![t],
         notes: vec![format!(
-            "E10 workload: {pairs} generated containment pairs (E4 generator); \
-             each config benched over {reps} batch-sized samples (min is the \
-             headline). Aggregate profile over the traced pass: {} rule \
-             firings, observed depth {} (exported as rule_profile.csv and \
-             level_growth.csv).",
-            profile.total_firings(),
-            profile.observed_depth,
+            "E10 workload: {pairs} generated containment pairs (E4 generator). Per-rule \
+             firings and per-level growth are exported as rule_profile.csv and \
+             level_growth.csv."
         )],
         files: vec![
-            (
-                "rule_profile.csv".into(),
-                export::rule_profile_csv(&profile),
-            ),
-            (
-                "level_growth.csv".into(),
-                export::level_growth_csv(&profile),
-            ),
+            ("rule_profile.csv".into(), rule_csv),
+            ("level_growth.csv".into(), level_csv),
         ],
     }
 }
@@ -1655,8 +1619,9 @@ fn freshen(q2: &ConjunctiveQuery, k: usize) -> ConjunctiveQuery {
 ///    ([`mutate_variant`]: redundant atoms + renaming + permutation).
 ///    Canon keys fold the mutations back to the warmed core pair, so the
 ///    decision cache answers without re-chasing; raw keys miss every
-///    time. Hit rate comes from the engine's global cache counters,
-///    scoped to the phase; `variant_p50_us` is the request p50.
+///    time. Hit rate comes from scraping the server's
+///    `flqd_decision_cache_*` counters around the phase;
+///    `variant_p50_us` is the request p50.
 /// 2. **fresh questions** — a mutated `q1` against a freshened `q2`
 ///    (a question never asked before, in either mode). The decision
 ///    cache *must* miss; what is measured is the snapshot LRU: canon
@@ -1797,12 +1762,20 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         for (q1, q2) in &base_texts {
             post(&mut client, q1, q2);
         }
-        let m0 = Metrics::global().snapshot();
+        // This server's decision-cache and canonicalization counters.
+        let families = [
+            "flqd_decision_cache_hits_total ",
+            "flqd_decision_cache_misses_total ",
+            "flqd_canon_keys_total ",
+        ];
+        let before = families.map(|f| scrape(&addr, f));
         let mut latencies: Vec<Duration> = variant_texts
             .iter()
             .map(|(q1, q2)| post(&mut client, q1, q2))
             .collect();
-        let decisions = Metrics::global().snapshot().since(&m0);
+        let after = families.map(|f| scrape(&addr, f));
+        let [decision_hits, decision_misses, canon_keys]: [u64; 3] =
+            std::array::from_fn(|i| after[i] - before[i]);
         latencies.sort();
         let p50 = latencies[latencies.len() / 2];
 
@@ -1816,7 +1789,7 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
 
-        let decision_pct = pct(decisions.cache_hits, decisions.cache_misses);
+        let decision_pct = pct(decision_hits, decision_misses);
         let snapshot_pct = pct(snap_hits, snap_misses);
         contrast.push((decision_pct, snapshot_pct, p50));
         t.push(vec![
@@ -1832,7 +1805,7 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
             micros(p50),
             fresh_texts.len().to_string(),
             format!("{snapshot_pct:.1}"),
-            decisions.canon_keys.to_string(),
+            canon_keys.to_string(),
         ]);
     }
     // The acceptance contract: semantic keys make variant traffic a hit
@@ -1857,9 +1830,9 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
             "{distinct} warm base pairs, {variants} variant round(s) per phase, one kept-alive \
              client. Variant requests mutate both sides (redundant atoms + renaming + \
              permutation); fresh requests pair a mutated q1 with a never-asked q2 of the same \
-             size, so only the snapshot cache can help. decision_hit_pct is scoped to the \
-             variant phase via engine counter deltas; snapshot_hit_pct to the fresh phase via \
-             GET /metrics. Asserted: canon >= 80% on both caches, --no-canon <= 5%."
+             size, so only the snapshot cache can help. decision_hit_pct and canon_keys are \
+             scoped to the variant phase, snapshot_hit_pct to the fresh phase, all via the \
+             server's GET /metrics. Asserted: canon >= 80% on both caches, --no-canon <= 5%."
         )],
         files: vec![],
     }

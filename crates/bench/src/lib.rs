@@ -16,7 +16,7 @@
 //! | E7 | the Theorem 12 level bound vs the level actually needed |
 //! | E8 | `chase⁻` stays polynomial (Theorem 13, step 1) |
 //! | E9 | repeated-query batches: decision cache, shared chase, parallel chase |
-//! | E10 | tracer overhead A/B (disabled handle vs enabled) + exported chase profiles |
+//! | E10 | chase profile of the E4 workload: per-rule firings and per-level growth vs the Theorem 12 bound |
 //! | E11 | `flqd` serving economics: cold vs warm latency, batch throughput by worker count |
 //! | E12 | transport shapes over warm decisions: close vs keep-alive vs pipelined clients |
 //! | E13 | Σ-admission classifier cost and derived chase bounds vs the Theorem 12 bound |

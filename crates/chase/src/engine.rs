@@ -8,8 +8,7 @@ use std::time::Instant;
 use flogic_model::{
     sigma_fl, Atom, ConjunctiveQuery, Egd, Pred, RuleId, RuleSet, SigmaRule, Tgd, SIGMA_RULE_COUNT,
 };
-use flogic_obs::{ChaseEvent, SpanKind, TraceHandle};
-use flogic_term::{Metrics, NullGen, Subst, Term};
+use flogic_term::{NullGen, Subst, Term};
 
 use crate::governor::{Budget, ChaseError, ExhaustReason};
 use crate::graph::{ChaseArc, ConjunctId};
@@ -39,11 +38,6 @@ pub struct ChaseOptions {
     /// Resource budget (deadline, step/byte caps, cancellation). The
     /// default is unlimited.
     pub budget: Budget,
-    /// Structured-event sink. The default ([`TraceHandle::Disabled`])
-    /// reduces every instrumentation site to one branch; enabling tracing
-    /// never changes which rule applications happen (it only observes),
-    /// so traced runs stay bit-identical to untraced ones.
-    pub trace: TraceHandle,
     /// The rule set to chase with. Defaults to the built-in `Σ_FL`; any
     /// set structurally equal to it (`RuleSet::is_sigma_fl`) is routed
     /// onto the specialized `Σ_FL` code paths, so a parsed copy of the
@@ -60,7 +54,6 @@ impl Default for ChaseOptions {
             max_conjuncts: 1_000_000,
             threads: 1,
             budget: Budget::default(),
-            trace: TraceHandle::Disabled,
             sigma: RuleSet::sigma_fl().clone(),
         }
     }
@@ -111,6 +104,11 @@ pub struct ChaseStats {
     pub applications_tail: usize,
     /// Number of term merges performed by ρ4.
     pub merges: usize,
+    /// EGD merge rounds: rewrites of the chase through one union-find of
+    /// demanded equations (the EGD "fires" by merging).
+    pub merge_rounds: usize,
+    /// The longest union-find chain any merge round walked.
+    pub union_find_depth: u32,
     /// Number of cross-arcs recorded.
     pub cross_arcs: usize,
     /// Labelled nulls invented by ρ5.
@@ -127,6 +125,15 @@ impl ChaseStats {
         self.applications.iter().sum::<usize>() + self.applications_tail
     }
 
+    /// Firings per rule, ρ1…ρ12: [`ChaseStats::applications`], except
+    /// that ρ4's slot also counts the EGD merge rounds (the EGD fires by
+    /// merging).
+    pub fn rule_firings(&self) -> [usize; SIGMA_RULE_COUNT] {
+        let mut firings = self.applications;
+        firings[RuleId::R4.index()] += self.merge_rounds;
+        firings
+    }
+
     /// Records one successful application of `rule`.
     fn record_application(&mut self, rule: RuleId) {
         match self.applications.get_mut(rule.index()) {
@@ -134,6 +141,16 @@ impl ChaseStats {
             None => self.applications_tail += 1,
         }
     }
+}
+
+/// The conjuncts rule applications created at one chase level (see
+/// [`Chase::level_growth`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LevelGrowth {
+    /// Conjuncts created at this level.
+    pub created: usize,
+    /// Of those, the ones whose rule invented a labelled null.
+    pub invented: usize,
 }
 
 /// An applicable rule instance discovered by a frontier batch, waiting for
@@ -187,14 +204,13 @@ pub struct Chase {
     /// Record cross-arcs (enabled for the bounded phase only; level-0
     /// cross-arcs carry no information and would bloat the graph).
     record_cross: bool,
-    /// EGDs of a custom rule set; `None` runs the specialized ρ4 scan of
-    /// the built-in `Σ_FL` (which every structurally-`Σ_FL` set routes
-    /// onto, keeping default runs bit-identical).
-    custom_egds: Option<Vec<Egd>>,
+    /// The rule set being chased with. A structurally-`Σ_FL` set runs the
+    /// specialized ρ4 scan; any other set runs its own EGDs generically.
+    sigma: Arc<RuleSet>,
 }
 
 impl Chase {
-    fn new(q: &ConjunctiveQuery, trace: &TraceHandle) -> Chase {
+    fn new(q: &ConjunctiveQuery, sigma: &Arc<RuleSet>) -> Chase {
         let mut chase = Chase {
             nodes: Vec::new(),
             redirect: Vec::new(),
@@ -210,11 +226,11 @@ impl Chase {
             stats: ChaseStats::default(),
             hit_bound: false,
             record_cross: false,
-            custom_egds: None,
+            sigma: Arc::clone(sigma),
         };
         for atom in q.body() {
             if chase.insert(*atom, 0, None, Vec::new()).is_none() {
-                chase.exhaust(ExhaustReason::Conjuncts, trace);
+                chase.exhaust(ExhaustReason::Conjuncts);
                 break;
             }
         }
@@ -434,28 +450,9 @@ impl Chase {
             + self.by_pos.len() * size_of::<(Pred, u8, Term)>()
     }
 
-    /// Stops the run with an [`ChaseOutcome::Exhausted`] outcome and
-    /// bumps the matching governor counter.
-    fn exhaust(&mut self, reason: ExhaustReason, trace: &TraceHandle) {
+    /// Stops the run with an [`ChaseOutcome::Exhausted`] outcome.
+    fn exhaust(&mut self, reason: ExhaustReason) {
         self.outcome = ChaseOutcome::Exhausted { reason };
-        let reason_index = match reason {
-            ExhaustReason::Conjuncts => 0u8,
-            ExhaustReason::Deadline => 1,
-            ExhaustReason::Steps => 2,
-            ExhaustReason::Bytes => 3,
-            ExhaustReason::Cancelled => 4,
-        };
-        trace.emit(|| ChaseEvent::GovernorStop {
-            reason: reason_index,
-        });
-        let m = Metrics::global();
-        match reason {
-            ExhaustReason::Deadline => m.record_governor_deadline(),
-            ExhaustReason::Cancelled => m.record_governor_cancellation(),
-            ExhaustReason::Conjuncts | ExhaustReason::Steps | ExhaustReason::Bytes => {
-                m.record_governor_budget()
-            }
-        }
     }
 
     /// Returns the first exceeded limit, if any. A pure read: calling it
@@ -485,6 +482,37 @@ impl Chase {
         self.conjuncts().map(|(_, _, l)| l).max().unwrap_or(0)
     }
 
+    /// The conjuncts rule applications created, per level (index =
+    /// level), up to the deepest level any application reached. Counts
+    /// every node a rule made, merged-away ones included, so the column
+    /// totals equal [`ChaseStats::total_applications`]. `chase⁻`
+    /// conjuncts sit at level 0 (Section 4); the query body is not
+    /// counted.
+    pub fn level_growth(&self) -> Vec<LevelGrowth> {
+        let mut levels: Vec<LevelGrowth> = Vec::new();
+        for node in &self.nodes {
+            let Some(rule) = node.rule else {
+                continue;
+            };
+            let level = node.level as usize;
+            if levels.len() <= level {
+                levels.resize(level + 1, LevelGrowth::default());
+            }
+            levels[level].created += 1;
+            levels[level].invented += usize::from(self.invents(rule));
+        }
+        levels
+    }
+
+    /// True when `rule` is an existential TGD of the chased set, i.e.
+    /// every application of it invented a labelled null.
+    fn invents(&self, rule: RuleId) -> bool {
+        matches!(
+            self.sigma.rules().get(rule.index()),
+            Some(SigmaRule::Tgd(t)) if t.existential.is_some()
+        )
+    }
+
     /// Live conjunct ids at a given level.
     pub fn at_level(&self, level: u32) -> Vec<ConjunctId> {
         self.conjuncts()
@@ -501,15 +529,12 @@ impl Chase {
     ///
     /// Returns `Err((left, right))` when two distinct rigid constants must
     /// be equated, `Ok(true)` if any merge happened.
-    fn drain_egds(&mut self, trace: &TraceHandle) -> Result<bool, (Term, Term)> {
-        match self.custom_egds.take() {
-            None => self.egd_fixpoint(trace),
-            Some(egds) => {
-                let out = self.egd_fixpoint_general(&egds, trace);
-                self.custom_egds = Some(egds);
-                out
-            }
+    fn drain_egds(&mut self) -> Result<bool, (Term, Term)> {
+        if self.sigma.is_sigma_fl() {
+            return self.egd_fixpoint();
         }
+        let sigma = Arc::clone(&self.sigma);
+        self.egd_fixpoint_general(&sigma.egds())
     }
 
     /// The generic EGD fixpoint for custom rule sets: each EGD's body is
@@ -519,11 +544,7 @@ impl Chase {
     /// every homomorphism demands one equation. Union-find semantics are
     /// identical to the ρ4 scan: lexicographically smaller representative
     /// wins, two distinct constants clash.
-    fn egd_fixpoint_general(
-        &mut self,
-        egds: &[Egd],
-        trace: &TraceHandle,
-    ) -> Result<bool, (Term, Term)> {
+    fn egd_fixpoint_general(&mut self, egds: &[&Egd]) -> Result<bool, (Term, Term)> {
         let mut changed_any = false;
         loop {
             let mut uf: HashMap<Term, Term> = HashMap::new();
@@ -555,7 +576,7 @@ impl Chase {
             if !pending {
                 return Ok(changed_any);
             }
-            self.commit_merge(&uf, trace);
+            self.commit_merge(&uf);
             changed_any = true;
         }
     }
@@ -564,7 +585,7 @@ impl Chase {
     ///
     /// Returns `Err((left, right))` when two distinct rigid constants must
     /// be equated, `Ok(true)` if any merge happened.
-    fn egd_fixpoint(&mut self, trace: &TraceHandle) -> Result<bool, (Term, Term)> {
+    fn egd_fixpoint(&mut self) -> Result<bool, (Term, Term)> {
         let mut changed_any = false;
         loop {
             // Collect all equations demanded by ρ4 in the current state.
@@ -600,29 +621,23 @@ impl Chase {
             if !pending {
                 return Ok(changed_any);
             }
-            self.commit_merge(&uf, trace);
+            self.commit_merge(&uf);
             changed_any = true;
         }
     }
 
     /// Normalizes a union-find of demanded equations into a substitution,
-    /// rewrites the whole chase through it, and emits the `EgdMerge`
-    /// event. Shared tail of both EGD fixpoints.
-    fn commit_merge(&mut self, uf: &HashMap<Term, Term>, trace: &TraceHandle) {
+    /// rewrites the whole chase through it, and counts the merge round.
+    /// Shared tail of both EGD fixpoints.
+    fn commit_merge(&mut self, uf: &HashMap<Term, Term>) {
         let mut merge = Subst::new();
-        let mut max_depth = 0u32;
-        let keys: Vec<Term> = uf.keys().copied().collect();
-        for k in keys {
+        for &k in uf.keys() {
             let (r, hops) = find_depth(uf, k);
-            max_depth = max_depth.max(hops);
+            self.stats.union_find_depth = self.stats.union_find_depth.max(hops);
             merge.bind(k, r);
         }
-        let merged = u32::try_from(merge.len()).unwrap_or(u32::MAX);
+        self.stats.merge_rounds += 1;
         self.apply_merge(&merge);
-        trace.emit(|| ChaseEvent::EgdMerge {
-            merged,
-            depth: max_depth,
-        });
     }
 
     /// Rewrites every conjunct and the head through `merge`, fusing
@@ -855,7 +870,6 @@ impl Chase {
         tgds: &[&Tgd],
         frontier: &[ConjunctId],
         threads: usize,
-        trace: &TraceHandle,
     ) -> Result<Vec<Candidate>, ChaseError> {
         let threads = threads.min(frontier.len());
         if threads <= 1 {
@@ -875,12 +889,7 @@ impl Chase {
         std::thread::scope(|scope| {
             let handles: Vec<_> = frontier
                 .chunks(chunk_size)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    // Worker slot i+1: slot 0 is the coordinating thread.
-                    // Handles are derived before spawning so ring creation
-                    // happens in deterministic chunk order.
-                    let worker_trace = trace.worker((i + 1) as u32);
+                .map(|chunk| {
                     scope.spawn(move || {
                         #[cfg(test)]
                         if inject_panic {
@@ -890,10 +899,6 @@ impl Chase {
                         for &id in chunk {
                             self.collect_candidates(tgds, id, &mut out);
                         }
-                        worker_trace.emit(|| ChaseEvent::DiscoveryChunk {
-                            conjuncts: chunk.len() as u64,
-                            candidates: out.len() as u64,
-                        });
                         out
                     })
                 })
@@ -948,11 +953,10 @@ impl Chase {
         // never run out of ids before the cap fires.
         let max_conjuncts = opts.max_conjuncts.min(u32::MAX as usize - 1);
         let governed = !opts.budget.is_unlimited();
-        let trace = &opts.trace;
         let mut frontier: Vec<ConjunctId> = self.live_ids();
 
         // Initial EGD drain (the query body itself may violate an EGD).
-        match self.drain_egds(trace) {
+        match self.drain_egds() {
             Err((l, r)) => {
                 self.outcome = ChaseOutcome::Failed { left: l, right: r };
                 return Ok(());
@@ -963,28 +967,14 @@ impl Chase {
             Ok(false) => {}
         }
 
-        let mut round: u32 = 0;
         while !frontier.is_empty() {
             if governed {
                 if let Some(reason) = self.governor_checkpoint(&opts.budget) {
-                    self.exhaust(reason, trace);
+                    self.exhaust(reason);
                     return Ok(());
                 }
             }
-            // Frontier snapshot event. Guarded: `max_level` is an O(n)
-            // scan we must not pay when tracing is off.
-            if trace.is_enabled() {
-                let (frontier_len, atoms, max_level) =
-                    (frontier.len() as u64, self.len() as u64, self.max_level());
-                trace.emit(|| ChaseEvent::Frontier {
-                    round,
-                    max_level,
-                    frontier: frontier_len,
-                    atoms,
-                });
-            }
-            round = round.saturating_add(1);
-            let candidates = self.discover(tgds, &frontier, threads, trace)?;
+            let candidates = self.discover(tgds, &frontier, threads)?;
 
             let mut next: Vec<ConjunctId> = Vec::new();
             let mut added_any = false;
@@ -992,13 +982,13 @@ impl Chase {
                 self.stats.steps += 1;
                 if let Some(max_steps) = opts.budget.max_steps {
                     if self.stats.steps > max_steps {
-                        self.exhaust(ExhaustReason::Steps, trace);
+                        self.exhaust(ExhaustReason::Steps);
                         return Ok(());
                     }
                 }
                 if governed && self.stats.steps % CHECK_EVERY == 0 {
                     if let Some(reason) = self.governor_checkpoint(&opts.budget) {
-                        self.exhaust(reason, trace);
+                        self.exhaust(reason);
                         return Ok(());
                     }
                 }
@@ -1035,22 +1025,17 @@ impl Chase {
                             continue;
                         }
                         if self.nodes.len() >= max_conjuncts {
-                            self.exhaust(ExhaustReason::Conjuncts, trace);
+                            self.exhaust(ExhaustReason::Conjuncts);
                             return Ok(());
                         }
                         let Some((nid, new)) =
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
-                            self.exhaust(ExhaustReason::Conjuncts, trace);
+                            self.exhaust(ExhaustReason::Conjuncts);
                             return Ok(());
                         };
                         debug_assert!(new);
                         self.stats.record_application(cand.rule);
-                        let rule_index = u8::try_from(cand.rule.index()).unwrap_or(u8::MAX);
-                        trace.emit(|| ChaseEvent::RuleFired {
-                            rule: rule_index,
-                            level: new_level,
-                        });
                         for &p in &parents {
                             self.add_arc(p, nid, cand.rule, false);
                         }
@@ -1077,32 +1062,22 @@ impl Chase {
                             continue;
                         }
                         if self.nodes.len() >= max_conjuncts {
-                            self.exhaust(ExhaustReason::Conjuncts, trace);
+                            self.exhaust(ExhaustReason::Conjuncts);
                             return Ok(());
                         }
-                        let fresh_null = self.nulls.fresh();
-                        let fresh = Term::Null(fresh_null);
+                        let fresh = Term::Null(self.nulls.fresh());
                         self.stats.nulls_invented += 1;
-                        trace.emit(|| ChaseEvent::NullInvented {
-                            null: fresh_null.0,
-                            level: new_level,
-                        });
                         let mut s = Subst::new();
                         s.bind(ex, fresh);
                         let head = head.apply(&s);
                         let Some((nid, new)) =
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
-                            self.exhaust(ExhaustReason::Conjuncts, trace);
+                            self.exhaust(ExhaustReason::Conjuncts);
                             return Ok(());
                         };
                         debug_assert!(new);
                         self.stats.record_application(cand.rule);
-                        let rule_index = u8::try_from(cand.rule.index()).unwrap_or(u8::MAX);
-                        trace.emit(|| ChaseEvent::RuleFired {
-                            rule: rule_index,
-                            level: new_level,
-                        });
                         for &p in &parents {
                             self.add_arc(p, nid, cand.rule, false);
                         }
@@ -1114,7 +1089,7 @@ impl Chase {
 
             if added_any {
                 // Definition 2: EGDs are drained after TGD applications.
-                match self.drain_egds(trace) {
+                match self.drain_egds() {
                     Err((l, r)) => {
                         self.outcome = ChaseOutcome::Failed { left: l, right: r };
                         return Ok(());
@@ -1156,7 +1131,7 @@ impl Chase {
 }
 
 /// Walks a union-find parent chain; returns the root and the number of
-/// hops (the depth reported by `EgdMerge` events).
+/// hops (the depth [`ChaseStats::union_find_depth`] reports).
 fn find_depth(uf: &HashMap<Term, Term>, mut t: Term) -> (Term, u32) {
     let mut hops = 0u32;
     while let Some(&p) = uf.get(&t) {
@@ -1235,28 +1210,24 @@ pub fn chase_minus(q: &ConjunctiveQuery) -> Chase {
 /// budget exhaustion is reported through [`ChaseOutcome::Exhausted`] on
 /// the returned (partial) chase instead.
 pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
-    Metrics::global().time_chase(|| {
-        let mut chase = Chase::new(q, &opts.trace);
-        if chase.is_exhausted() {
-            return Ok(chase);
-        }
-        let run_opts = ChaseOptions {
-            level_bound: u32::MAX,
-            ..opts.clone()
-        };
-        // Structurally-Σ_FL sets take the specialized built-in path, so a
-        // parsed copy of the shipped rules is bit-identical to the default.
-        let tgds: Vec<&Tgd> = if opts.sigma.is_sigma_fl() {
-            sigma_tgds(false)
-        } else {
-            chase.custom_egds = Some(opts.sigma.egds().into_iter().cloned().collect());
-            opts.sigma.datalog_tgds()
-        };
-        let _span = opts.trace.span(SpanKind::ChaseMinus);
-        chase.run(&tgds, &run_opts)?;
-        chase.reset_levels();
-        Ok(chase)
-    })
+    let mut chase = Chase::new(q, &opts.sigma);
+    if chase.is_exhausted() {
+        return Ok(chase);
+    }
+    let run_opts = ChaseOptions {
+        level_bound: u32::MAX,
+        ..opts.clone()
+    };
+    // Structurally-Σ_FL sets take the specialized built-in path, so a
+    // parsed copy of the shipped rules is bit-identical to the default.
+    let tgds: Vec<&Tgd> = if opts.sigma.is_sigma_fl() {
+        sigma_tgds(false)
+    } else {
+        opts.sigma.datalog_tgds()
+    };
+    chase.run(&tgds, &run_opts)?;
+    chase.reset_levels();
+    Ok(chase)
 }
 
 /// Computes the level-bounded chase of `q` w.r.t. all of `Σ_FL`: first
@@ -1271,41 +1242,34 @@ pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Cha
 /// worker panicked; exhaustion ends the run early with
 /// [`ChaseOutcome::Exhausted`] and the partial chase intact.
 pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
-    Metrics::global().time_chase(|| {
-        let mut chase = Chase::new(q, &opts.trace);
-        if chase.is_exhausted() {
-            return Ok(chase);
-        }
-        let prelim = ChaseOptions {
-            level_bound: u32::MAX,
-            ..opts.clone()
-        };
-        let builtin = opts.sigma.is_sigma_fl();
-        let prelim_tgds: Vec<&Tgd> = if builtin {
-            sigma_tgds(false)
-        } else {
-            chase.custom_egds = Some(opts.sigma.egds().into_iter().cloned().collect());
-            opts.sigma.datalog_tgds()
-        };
-        {
-            let _span = opts.trace.span(SpanKind::ChaseMinus);
-            chase.run(&prelim_tgds, &prelim)?;
-        }
-        if chase.is_failed() || chase.is_exhausted() {
-            return Ok(chase);
-        }
-        chase.reset_levels();
-        chase.hit_bound = false;
-        chase.record_cross = true;
-        let all_tgds: Vec<&Tgd> = if builtin {
-            sigma_tgds(true)
-        } else {
-            opts.sigma.tgds()
-        };
-        let _span = opts.trace.span(SpanKind::ChaseBounded);
-        chase.run(&all_tgds, opts)?;
-        Ok(chase)
-    })
+    let mut chase = Chase::new(q, &opts.sigma);
+    if chase.is_exhausted() {
+        return Ok(chase);
+    }
+    let prelim = ChaseOptions {
+        level_bound: u32::MAX,
+        ..opts.clone()
+    };
+    let builtin = opts.sigma.is_sigma_fl();
+    let prelim_tgds: Vec<&Tgd> = if builtin {
+        sigma_tgds(false)
+    } else {
+        opts.sigma.datalog_tgds()
+    };
+    chase.run(&prelim_tgds, &prelim)?;
+    if chase.is_failed() || chase.is_exhausted() {
+        return Ok(chase);
+    }
+    chase.reset_levels();
+    chase.hit_bound = false;
+    chase.record_cross = true;
+    let all_tgds: Vec<&Tgd> = if builtin {
+        sigma_tgds(true)
+    } else {
+        opts.sigma.tgds()
+    };
+    chase.run(&all_tgds, opts)?;
+    Ok(chase)
 }
 
 #[cfg(test)]
@@ -1407,6 +1371,54 @@ mod tests {
             .any(|(_, a, _)| a.pred() == Pred::Member && a.arg(1) == v("U") && a.arg(0).is_null());
         assert!(member_u, "rho3 branch member(_vi, U) exists");
         assert!(chase.max_level() <= 8);
+    }
+
+    #[test]
+    fn level_growth_counts_every_application_at_its_level() {
+        let q = parse_query("q() :- mandatory(A, T), type(T, A, T), sub(T, U).").unwrap();
+        let opts = ChaseOptions {
+            level_bound: 12,
+            ..Default::default()
+        };
+        let chase = chase_bounded(&q, &opts).unwrap();
+        let growth = chase.level_growth();
+        // The ρ8 conjunct of chase⁻ sits at level 0, as `chase.level` says.
+        assert_eq!(
+            growth[0],
+            LevelGrowth {
+                created: 1,
+                invented: 0
+            }
+        );
+        assert_eq!(
+            growth[1],
+            LevelGrowth {
+                created: 1,
+                invented: 1
+            }
+        );
+        assert_eq!(growth.len() as u32 - 1, chase.max_level());
+        let created: usize = growth.iter().map(|g| g.created).sum();
+        let invented: usize = growth.iter().map(|g| g.invented).sum();
+        assert_eq!(created, chase.stats().total_applications());
+        assert_eq!(invented as u64, chase.stats().nulls_invented);
+    }
+
+    #[test]
+    fn merge_rounds_and_union_find_depth_are_counted() {
+        let q =
+            parse_query("q(V1, V2) :- data(O, A, V1), data(O, A, V2), funct(A, C), member(O, C).")
+                .unwrap();
+        let chase = chase_minus(&q);
+        assert_eq!(chase.stats().merge_rounds, 1);
+        assert_eq!(chase.stats().merges, 1);
+        assert_eq!(chase.stats().union_find_depth, 1);
+        // Merged-away nodes still count: ρ12 made one conjunct.
+        let created: usize = chase.level_growth().iter().map(|g| g.created).sum();
+        assert_eq!(created, chase.stats().total_applications());
+        let plain = chase_minus(&parse_query("q(X) :- sub(X, Y).").unwrap());
+        assert_eq!(plain.stats().merge_rounds, 0);
+        assert!(plain.level_growth().is_empty());
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub use cycles::{find_mandatory_cycles, has_infinite_chase_potential, MandatoryC
 pub use dot::{to_dot, to_text};
 pub use engine::{
     chase_bounded, chase_minus, chase_minus_with, Chase, ChaseOptions, ChaseOutcome, ChaseStats,
+    LevelGrowth,
 };
 pub use governor::{Budget, CancelToken, ChaseError, ExhaustReason};
 pub use graph::{

@@ -31,20 +31,14 @@
 //! Theorem 12 bound) always key structurally with their effective bound —
 //! their verdicts answer a bound-dependent question about the literal
 //! query, not its core, and must never be replayed across bounds.
-//!
-//! Cache hits/misses and canonicalization passes are reported to the
-//! process-global [`flogic_term::Metrics`], which `flq --metrics` and the
-//! benchmark harness print and `flqd` exports as the
-//! `flqd_canon_{keys,reduced,nanoseconds}_total` Prometheus families.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::{LazyLock, Mutex};
-use std::time::Instant;
 
 use flogic_hom::classic_core;
 use flogic_model::{Atom, ConjunctiveQuery, Pred};
-use flogic_term::{Metrics, Symbol, Term};
+use flogic_term::{Symbol, Term};
 
 use crate::decide::{
     contains_batch, contains_with, derived_bound, ContainmentOptions, ContainmentResult,
@@ -287,15 +281,11 @@ fn canonicalize(q: &ConjunctiveQuery) -> CanonQuery {
     canonicalize_full(q).0
 }
 
-/// The semantic half of a cache key — the canonicalized classic core plus
-/// the core's size — with the pass recorded on the global metrics.
+/// The semantic half of a cache key: the canonicalized classic core plus
+/// the core's size.
 fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
-    let start = Instant::now();
     let core = classic_core(q);
-    let reduced = core.size() < q.size();
-    let canon = canonicalize(&core);
-    Metrics::global().record_canon(start.elapsed(), reduced);
-    (canon, core.size())
+    (canonicalize(&core), core.size())
 }
 
 /// The semantic canonical representative of `q` as a real query: the
@@ -311,10 +301,6 @@ fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
 /// traffic: it substitutes the representatives up front and runs the
 /// whole decision stack on them.
 ///
-/// The pass is recorded on the process-global [`Metrics`] (exported by
-/// `flqd` as `flqd_canon_keys_total`, `flqd_canon_reduced_total` and
-/// `flqd_canon_nanoseconds_total`).
-///
 /// ```
 /// use flogic_core::canonical_query;
 /// use flogic_syntax::parse_query;
@@ -324,9 +310,7 @@ fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
 /// assert_eq!(canonical_query(&a), canonical_query(&b));
 /// ```
 pub fn canonical_query(q: &ConjunctiveQuery) -> ConjunctiveQuery {
-    let start = Instant::now();
     let core = classic_core(q);
-    let reduced = core.size() < q.size();
     let (_, order, numbering) = canonicalize_full(&core);
     let rename = |t: &Term| match t {
         Term::Var(v) => Term::var(&format!("C{}", numbering[v])),
@@ -341,10 +325,8 @@ pub fn canonical_query(q: &ConjunctiveQuery) -> ConjunctiveQuery {
             Atom::new(a.pred(), &args).expect("renaming preserves arity")
         })
         .collect();
-    let out = ConjunctiveQuery::new(core.name(), head, body)
-        .expect("canonical renaming preserves well-formedness");
-    Metrics::global().record_canon(start.elapsed(), reduced);
-    out
+    ConjunctiveQuery::new(core.name(), head, body)
+        .expect("canonical renaming preserves well-formedness")
 }
 
 /// The canonical representatives of a pair, when substituting them is
@@ -405,8 +387,7 @@ pub struct QueryKey(CanonQuery);
 impl QueryKey {
     /// The semantic canonical key of `q`: its classic core under the
     /// deterministic total ordering. Invariant under renaming, body
-    /// permutation, and redundant-atom insertion. Records the pass on
-    /// the global [`Metrics`] (`flqd_canon_*_total` in `flqd`).
+    /// permutation, and redundant-atom insertion.
     pub fn of(q: &ConjunctiveQuery) -> QueryKey {
         QueryKey(semantic_parts(q).0)
     }
@@ -582,22 +563,11 @@ impl DecisionCache {
     }
 
     fn lookup(&self, key: &CacheKey) -> Option<ContainmentResult> {
-        let hit = self
-            .inner
+        self.inner
             .lock()
             .expect("decision cache poisoned")
             .get(key)
-            .cloned();
-        match hit {
-            Some(d) => {
-                Metrics::global().record_cache_hit();
-                Some(d)
-            }
-            None => {
-                Metrics::global().record_cache_miss();
-                None
-            }
-        }
+            .cloned()
     }
 
     fn store(&self, key: CacheKey, result: &ContainmentResult) {
@@ -660,11 +630,7 @@ impl DecisionCache {
         compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
     ) -> Result<ContainmentResult, CoreError> {
         let key = PairKeyer::new(opts).key(q1, q2);
-        let hit = self.lookup(&key);
-        let was_hit = hit.is_some();
-        opts.trace
-            .emit(|| flogic_obs::ChaseEvent::CacheLookup { hit: was_hit });
-        if let Some(hit) = hit {
+        if let Some(hit) = self.lookup(&key) {
             return Ok(hit);
         }
         let result = compute()?;
@@ -699,22 +665,15 @@ impl DecisionCache {
         let mut out: Vec<Option<Result<ContainmentResult, CoreError>>> =
             Vec::with_capacity(q2s.len());
         for (i, key) in keys.iter().enumerate() {
-            let was_hit;
             if let Some(&r) = rep.get(key) {
-                Metrics::global().record_cache_hit();
                 dup_of[i] = Some(r);
                 out.push(None);
-                was_hit = true;
             } else if let Some(d) = self.lookup(key) {
                 out.push(Some(Ok(d)));
-                was_hit = true;
             } else {
                 rep.insert(key, i);
                 out.push(None);
-                was_hit = false;
             }
-            opts.trace
-                .emit(|| flogic_obs::ChaseEvent::CacheLookup { hit: was_hit });
         }
 
         let missed: Vec<usize> = (0..q2s.len())
@@ -825,9 +784,9 @@ mod tests {
         let cache = DecisionCache::new();
         let q1 = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
         let q2 = q("p(X, Z) :- sub(X, Z).");
-        let before = Metrics::global().snapshot();
         let first = cache.contains(&q1, &q2).unwrap();
         assert!(first.holds());
+        assert!(first.witness().is_some(), "a miss computes its witness");
         assert_eq!(cache.len(), 1);
 
         // Rename everything apart and shuffle the body: still one entry.
@@ -837,10 +796,6 @@ mod tests {
         assert!(second.holds());
         assert!(second.witness().is_none(), "cache hits carry no witness");
         assert_eq!(cache.len(), 1);
-        let delta = Metrics::global().snapshot().since(&before);
-        assert!(delta.cache_hits >= 1);
-        assert!(delta.cache_misses >= 1);
-        assert!(delta.canon_keys >= 4, "semantic keys record canon passes");
     }
 
     #[test]
@@ -853,10 +808,9 @@ mod tests {
         // A variant with a redundant copy of the member/sub pair reduces
         // to the same core, so it must be answered from the cache.
         let q1v = q("qq(U) :- member(U, K1), sub(K1, L1), member(U, K2), sub(K2, L2).");
-        let before = Metrics::global().snapshot();
-        assert!(cache.contains(&q1v, &q2).unwrap().holds());
-        let delta = Metrics::global().snapshot().since(&before);
-        assert!(delta.cache_hits >= 1);
+        let hit = cache.contains(&q1v, &q2).unwrap();
+        assert!(hit.holds());
+        assert!(hit.witness().is_none(), "answered from the cache");
         assert_eq!(cache.len(), 1, "one semantic class, one entry");
     }
 
@@ -906,10 +860,9 @@ mod tests {
             level_bound: Some(theorem_bound(&q1, &q2) + 100),
             ..Default::default()
         };
-        let before = Metrics::global().snapshot();
-        assert!(cache.contains_with(&q1, &q2, &generous).unwrap().holds());
-        let delta = Metrics::global().snapshot().since(&before);
-        assert!(delta.cache_hits >= 1);
+        let hit = cache.contains_with(&q1, &q2, &generous).unwrap();
+        assert!(hit.holds());
+        assert!(hit.witness().is_none(), "answered from the cache");
         assert_eq!(cache.len(), 1);
     }
 

@@ -4,10 +4,9 @@ use std::sync::Arc;
 
 use flogic_analysis::{classify_rule_set, direct_unsat, QueryAnalysis};
 use flogic_chase::{chase_bounded, Budget, Chase, ChaseOptions, ChaseOutcome, ExhaustReason};
-use flogic_hom::find_hom_traced;
+use flogic_hom::find_hom;
 use flogic_model::{ConjunctiveQuery, RuleSet};
-use flogic_obs::{ChaseEvent, SpanKind, TraceHandle};
-use flogic_term::{Metrics, Subst, Term};
+use flogic_term::{Subst, Term};
 
 use crate::{ChaseSnapshot, CoreError};
 
@@ -52,19 +51,14 @@ pub struct ContainmentOptions {
     /// sound early `false` when `q2` needs a predicate unreachable from
     /// `q1`'s chase frontier, sound early `true` when `q1` carries a
     /// visible ρ4 violation. The verdict is identical with the toggle on
-    /// or off; only the work (and the [`Metrics`] analysis counters)
-    /// changes. Default: `true`.
+    /// or off; only the work changes, which
+    /// [`ContainmentResult::decided_by_analysis`] reports. Default: `true`.
     pub analysis: bool,
     /// Resource budget for the chase (deadline, step/byte caps,
     /// cancellation). When a limit fires, the decision comes back as
     /// [`Verdict::Exhausted`] with the partial chase statistics instead of
     /// an error. Default: unlimited.
     pub budget: Budget,
-    /// Structured-event sink, threaded down into the chase engine and the
-    /// homomorphism search. The default ([`TraceHandle::Disabled`]) costs
-    /// one branch per instrumentation site; enabling tracing never changes
-    /// the verdict (it only observes). Default: disabled.
-    pub trace: TraceHandle,
     /// The active rule set Σ. Default: the built-in `Σ_FL`, which keeps
     /// every code path bit-identical to the classic decider. A custom set
     /// (from `flq --sigma FILE` or `flogic_analysis::admit_sigma`) must be
@@ -80,8 +74,7 @@ pub struct ContainmentOptions {
     /// conjuncts, redundant atoms — share one entry. The verdict is
     /// identical with the toggle on or off (a core answers every
     /// Σ-containment question exactly like the query it minimizes); only
-    /// hit rates and the [`Metrics`] canon counters change. The
-    /// uncached [`contains_with`] ignores this knob entirely.
+    /// hit rates change. The uncached [`contains_with`] ignores this knob entirely.
     /// Default: `true`.
     pub canon: bool,
 }
@@ -94,7 +87,6 @@ impl Default for ContainmentOptions {
             threads: 1,
             analysis: true,
             budget: Budget::default(),
-            trace: TraceHandle::Disabled,
             sigma: RuleSet::sigma_fl().clone(),
             canon: true,
         }
@@ -280,12 +272,6 @@ pub fn contains_with(
         });
     }
     let bound = sigma_bound(opts, q1.size(), q2.size());
-    let _decide_span = opts.trace.span(SpanKind::Decide);
-    let theorem = theorem_bound(q1, q2);
-    opts.trace.emit(|| ChaseEvent::Bound {
-        level_bound: u64::from(bound),
-        theorem_bound: u64::from(theorem),
-    });
     if opts.analysis {
         let analysis = QueryAnalysis::for_rules(q1, &opts.sigma);
         if let Some(early) =
@@ -295,7 +281,7 @@ pub fn contains_with(
         }
     }
     let chase = chase_to(q1, bound, opts)?;
-    Ok(chase_verdict(&chase, q2, bound, &opts.trace))
+    Ok(chase_verdict(&chase, q2, bound))
 }
 
 /// Chases `q1` to `bound` levels under the chase knobs of `opts`.
@@ -309,7 +295,6 @@ pub(crate) fn chase_to(
         max_conjuncts: opts.max_conjuncts,
         threads: opts.threads,
         budget: opts.budget.clone(),
-        trace: opts.trace.clone(),
         sigma: opts.sigma.clone(),
     };
     Ok(chase_bounded(q1, &chase_opts)?)
@@ -341,10 +326,8 @@ pub(crate) fn analysis_verdict(
     bound: u32,
     resident: Option<&Chase>,
 ) -> Option<ContainmentResult> {
-    let metrics = Metrics::global();
     let (verdict, vacuous, chase_outcome, chase_conjuncts, max_chase_level) =
         if let Some((left, right)) = unsat {
-            metrics.record_analysis_early_true();
             (
                 Verdict::Holds,
                 true,
@@ -353,13 +336,11 @@ pub(crate) fn analysis_verdict(
                 0,
             )
         } else if analysis.refutes_hom(q2) {
-            metrics.record_analysis_early_false();
             let (outcome, len, level) = resident.map_or((ChaseOutcome::Completed, 0, 0), |c| {
                 (c.outcome(), c.len(), c.max_level())
             });
             (Verdict::NotHolds, false, outcome, len, level)
         } else {
-            metrics.record_analysis_chased();
             return None;
         };
     Some(ContainmentResult {
@@ -382,17 +363,12 @@ pub(crate) fn analysis_verdict(
 ///   partial statistics ride along so callers can report how far the run
 ///   got;
 /// * otherwise the homomorphism search on the chase's own index decides.
-pub(crate) fn chase_verdict(
-    chase: &Chase,
-    q2: &ConjunctiveQuery,
-    bound: u32,
-    trace: &TraceHandle,
-) -> ContainmentResult {
+pub(crate) fn chase_verdict(chase: &Chase, q2: &ConjunctiveQuery, bound: u32) -> ContainmentResult {
     let (verdict, vacuous, witness) = match chase.outcome() {
         ChaseOutcome::Failed { .. } => (Verdict::Holds, true, None),
         ChaseOutcome::Exhausted { reason } => (Verdict::Exhausted(reason), false, None),
         ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {
-            let witness = find_hom_traced(q2.body(), q2.head(), chase, chase.head(), trace);
+            let witness = find_hom(q2.body(), q2.head(), chase, chase.head());
             let verdict = if witness.is_some() {
                 Verdict::Holds
             } else {
@@ -459,15 +435,6 @@ pub fn contains_batch(
         .map(|q2| sigma_bound(opts, q1.size(), q2.size()))
         .max()
         .unwrap_or(0);
-    let _decide_span = opts.trace.span(SpanKind::Decide);
-    let theorem = same_arity()
-        .map(|q2| theorem_bound(q1, q2))
-        .max()
-        .unwrap_or(0);
-    opts.trace.emit(|| ChaseEvent::Bound {
-        level_bound: u64::from(bound),
-        theorem_bound: u64::from(theorem),
-    });
     match ChaseSnapshot::build(q1, bound, opts) {
         Ok(snapshot) => q2s.iter().map(|q2| snapshot.contains(q2, opts)).collect(),
         // A worker panic poisons only this batch call, not the process;

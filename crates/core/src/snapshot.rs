@@ -63,8 +63,8 @@ impl ChaseSnapshot {
     /// static-analysis summary.
     ///
     /// `opts.level_bound` is ignored (the explicit `bound` wins);
-    /// `opts.max_conjuncts`, `opts.threads`, `opts.budget` and
-    /// `opts.trace` govern the build exactly as they govern
+    /// `opts.max_conjuncts`, `opts.threads` and `opts.budget` govern the
+    /// build exactly as they govern
     /// [`contains_with`]. A build stopped by the budget still returns a
     /// snapshot — [`is_exhausted`](ChaseSnapshot::is_exhausted) is then
     /// true and every [`contains`](ChaseSnapshot::contains) the analysis
@@ -92,6 +92,12 @@ impl ChaseSnapshot {
     /// The level bound the chase was built to.
     pub fn level_bound(&self) -> u32 {
         self.bound
+    }
+
+    /// The resident chase itself: its conjuncts, levels, run statistics
+    /// and per-level growth.
+    pub fn chase(&self) -> &Chase {
+        &self.chase
     }
 
     /// Number of conjuncts the chase materialized.
@@ -170,7 +176,7 @@ impl ChaseSnapshot {
                 return Ok(early);
             }
         }
-        Ok(chase_verdict(&self.chase, q2, self.bound, &opts.trace))
+        Ok(chase_verdict(&self.chase, q2, self.bound))
     }
 }
 
@@ -272,23 +278,5 @@ mod tests {
         let snap = build(&q("q() :- mandatory(A, T), type(T, A, T), sub(T, U)."), 6);
         assert!(snap.chase_conjuncts() > 4);
         assert_eq!(snap.approx_bytes(), snap.chase.approx_bytes());
-    }
-
-    #[test]
-    fn resident_snapshot_does_not_pin_its_build_tracer() {
-        let tracer = flogic_obs::Tracer::with_default_capacity();
-        let opts = ContainmentOptions {
-            threads: 2,
-            trace: flogic_obs::TraceHandle::enabled(&tracer),
-            ..ContainmentOptions::default()
-        };
-        let q1 = q("q() :- mandatory(A, T), type(T, A, T), sub(T, U).");
-        let snap = ChaseSnapshot::build(&q1, 4, &opts).unwrap();
-        assert!(!tracer.snapshot().events.is_empty(), "the build was traced");
-        drop(opts);
-        // Only the test's own reference is left: the snapshot, its chase
-        // and the joined discovery workers hold no handle to the rings.
-        assert_eq!(std::sync::Arc::strong_count(&tracer), 1);
-        assert!(snap.chase_conjuncts() > q1.size());
     }
 }

@@ -3,7 +3,7 @@
 use flogic_model::{sigma_fl, Atom, Database, Pred, SigmaRule};
 use flogic_term::{NullGen, Term};
 
-use crate::engine::seminaive;
+use crate::engine::seminaive_from;
 use crate::store::{FactStore, RAtom, Rule};
 use crate::{DatalogError, Program, UnionFind};
 
@@ -84,7 +84,9 @@ fn from_store(store: &FactStore) -> Result<Database, DatalogError> {
 
 /// Closes `db` under all twelve rules of `Σ_FL`:
 ///
-/// 1. saturate under the ten Datalog rules (semi-naive evaluation);
+/// 1. saturate under the ten Datalog rules (semi-naive evaluation from
+///    the facts the previous round added, checking the fact budget as it
+///    grows);
 /// 2. resolve all ρ4 obligations at once through a union–find (two distinct
 ///    rigid constants in one class ⇒ [`DatalogError::Inconsistent`]) and
 ///    rewrite the database through the resulting merge map;
@@ -129,9 +131,12 @@ pub fn close_database(
     let mandatory_rel = flogic_term::Symbol::intern(Pred::Mandatory.name());
     let funct_rel = flogic_term::Symbol::intern(Pred::Funct.name());
 
+    // Facts the next saturation must start from: the input at first, then
+    // what ρ5 added, or the whole store after a ρ4 rewrite.
+    let mut delta: Vec<RAtom> = store.iter().collect();
     loop {
         stats.rounds += 1;
-        seminaive(&program, &mut store)?;
+        seminaive_from(&program, &mut store, delta, opts.max_facts)?;
         if store.len() > opts.max_facts {
             return Err(DatalogError::BudgetExceeded {
                 facts: store.len(),
@@ -161,6 +166,7 @@ pub fn close_database(
                 rewritten.insert(f.apply(&merge))?;
             }
             store = rewritten;
+            delta = store.iter().collect();
             continue;
         }
 
@@ -186,9 +192,10 @@ pub fn close_database(
         if to_add.is_empty() {
             break;
         }
-        for f in to_add {
-            store.insert(f)?;
+        for f in &to_add {
+            store.insert(f.clone())?;
         }
+        delta = to_add;
     }
 
     stats.facts = store.len();
@@ -340,6 +347,36 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DatalogError::BudgetExceeded { .. }));
+    }
+
+    #[test]
+    fn infinite_generated_closure_stops_at_the_fact_budget() {
+        // The E4 generator's scale-4 database (seed 1, 119 facts) has a
+        // mandatory cycle, so its closure is infinite. Each round only
+        // joins what the previous one added, so the default budget stops
+        // it in well under a second.
+        let scale = 4;
+        let cfg = flogic_gen::DbGenConfig {
+            n_classes: 6 * scale,
+            n_objects: 8 * scale,
+            n_attrs: 4 * scale,
+            n_sub_edges: 5 * scale,
+            n_members: 8 * scale,
+            n_types: 5 * scale,
+            n_data: 8 * scale,
+            n_mandatory: 2 * scale,
+            n_funct: 2 * scale,
+        };
+        let mut rng = flogic_gen::rng::SplitMix64::seed_from_u64(1);
+        let db = flogic_gen::random_database(&cfg, &mut rng);
+        let err = close_database(&db, &ClosureOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            DatalogError::BudgetExceeded {
+                facts: 20_004,
+                nulls: 1_454
+            }
+        );
     }
 
     #[test]

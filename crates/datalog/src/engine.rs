@@ -1,5 +1,7 @@
 //! Naive and semi-naive bottom-up evaluation.
 
+use std::collections::HashSet;
+
 use flogic_term::Subst;
 
 use crate::store::unify_tuple;
@@ -49,12 +51,27 @@ pub fn naive(program: &Program, store: &mut FactStore) -> Result<EvalStats, Data
 /// instantiations that use at least one fact derived in the previous
 /// iteration (the *delta*), which avoids re-deriving everything each round.
 pub fn seminaive(program: &Program, store: &mut FactStore) -> Result<EvalStats, DatalogError> {
-    let mut stats = EvalStats::default();
     // Round 0: all EDB facts are the initial delta.
-    let mut delta: Vec<RAtom> = store.iter().collect();
-    while !delta.is_empty() {
+    let delta = store.iter().collect();
+    seminaive_from(program, store, delta, usize::MAX)
+}
+
+/// [`seminaive`] from a given first `delta`: the facts of `store` outside
+/// it must already be closed under `program` among themselves (a store
+/// saturated before `delta` was added, say). Stops after the iteration
+/// that takes the store past `max_facts` facts.
+pub(crate) fn seminaive_from(
+    program: &Program,
+    store: &mut FactStore,
+    mut delta: Vec<RAtom>,
+    max_facts: usize,
+) -> Result<EvalStats, DatalogError> {
+    let mut stats = EvalStats::default();
+    while !delta.is_empty() && store.len() <= max_facts {
         stats.iterations += 1;
+        // Derived facts in derivation order, with a set for membership.
         let mut next_delta: Vec<RAtom> = Vec::new();
+        let mut pending: HashSet<RAtom> = HashSet::new();
         for rule in program.rules() {
             for (pos, pivot) in rule.body.iter().enumerate() {
                 // Pin the pivot body atom to a delta fact, join the rest
@@ -77,7 +94,7 @@ pub fn seminaive(program: &Program, store: &mut FactStore) -> Result<EvalStats, 
                     rest.extend(rule.body[pos + 1..].iter().cloned());
                     store.match_pattern(&rest, &binding, &mut |full| {
                         let head = rule.head.apply(full);
-                        if !store.contains(&head) && !next_delta.contains(&head) {
+                        if !store.contains(&head) && pending.insert(head.clone()) {
                             next_delta.push(head);
                         }
                         false

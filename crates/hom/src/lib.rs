@@ -24,5 +24,7 @@ mod search;
 mod target;
 
 pub use core_of::classic_core;
-pub use search::{all_homs, count_homs, find_hom, find_hom_traced, find_hom_unconstrained};
+pub use search::{
+    all_homs, count_homs, find_hom, find_hom_counted, find_hom_unconstrained, HomStats,
+};
 pub use target::{AtomIndex, Target};

@@ -1,7 +1,6 @@
 //! Backtracking homomorphism search.
 
 use flogic_model::Atom;
-use flogic_obs::{ChaseEvent, SpanKind, TraceHandle};
 use flogic_term::{Subst, Term};
 
 use crate::AtomIndex;
@@ -62,18 +61,27 @@ fn head_binding(source_head: &[Term], target_head: &[Term]) -> Option<Subst> {
     Some(s)
 }
 
+/// What one homomorphism search did (see [`find_hom_counted`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HomStats {
+    /// Candidate conjuncts a source atom unified with: search nodes
+    /// entered.
+    pub expansions: u64,
+    /// Source atoms left after every candidate was tried: dead ends.
+    pub backtracks: u64,
+    /// Candidate conjuncts that failed to unify.
+    pub prunes: u64,
+}
+
 /// Depth-first search with dynamic fewest-candidates-first atom ordering.
-/// `found` returning `true` stops the search.
-///
-/// `trace` is purely observational: it records node expansions, candidate
-/// prunes and backtracks, but never influences atom ordering or candidate
-/// enumeration (the disabled handle is a single branch per event).
+/// `found` returning `true` stops the search. `stats` only counts: it
+/// never influences atom ordering or candidate enumeration.
 fn search<T: AtomIndex>(
     source: &[Atom],
     target: &T,
     s: Subst,
     remaining: &mut Vec<usize>,
-    trace: &TraceHandle,
+    stats: &mut HomStats,
     found: &mut dyn FnMut(&Subst) -> bool,
 ) -> bool {
     let Some(best_slot) = (0..remaining.len()).min_by_key(|&slot| {
@@ -83,8 +91,6 @@ fn search<T: AtomIndex>(
         return found(&s);
     };
     let atom_idx = remaining.swap_remove(best_slot);
-    // Source atoms mapped counting the one being matched right now.
-    let depth = (source.len() - remaining.len()) as u32;
     // The applied pattern is used for *index retrieval only* (bound
     // variables with ground images make positions selective); unification
     // always runs against the original atom so that variable images are
@@ -92,18 +98,18 @@ fn search<T: AtomIndex>(
     let index_probe = source[atom_idx].apply(&s);
     for &cand in target.candidates(&index_probe) {
         if let Some(s2) = unify(&source[atom_idx], target.atom(cand), &s) {
-            trace.emit(|| ChaseEvent::HomExpand { depth });
-            if search(source, target, s2, remaining, trace, found) {
+            stats.expansions += 1;
+            if search(source, target, s2, remaining, stats, found) {
                 remaining.push(atom_idx); // restore before unwinding
                 let last = remaining.len() - 1;
                 remaining.swap(best_slot.min(last), last);
                 return true;
             }
         } else {
-            trace.emit(|| ChaseEvent::HomPrune { depth });
+            stats.prunes += 1;
         }
     }
-    trace.emit(|| ChaseEvent::HomBacktrack { depth });
+    stats.backtracks += 1;
     remaining.push(atom_idx);
     let last = remaining.len() - 1;
     remaining.swap(best_slot.min(last), last);
@@ -131,40 +137,38 @@ pub fn find_hom<T: AtomIndex>(
     target: &T,
     target_head: &[Term],
 ) -> Option<Subst> {
-    find_hom_traced(
-        source,
-        source_head,
-        target,
-        target_head,
-        &TraceHandle::Disabled,
-    )
+    find_hom_counted(source, source_head, target, target_head).0
 }
 
-/// [`find_hom`] with a structured-event sink: records a `HomSearch` span
-/// plus node expansions, candidate prunes and backtracks. The trace is
-/// purely observational — the search result is bit-identical to
-/// [`find_hom`]'s for every handle.
-pub fn find_hom_traced<T: AtomIndex>(
+/// [`find_hom`], also returning what the search did: node expansions,
+/// backtracks and candidate prunes. The witness is [`find_hom`]'s.
+pub fn find_hom_counted<T: AtomIndex>(
     source: &[Atom],
     source_head: &[Term],
     target: &T,
     target_head: &[Term],
-    trace: &TraceHandle,
-) -> Option<Subst> {
-    flogic_term::Metrics::global().time_hom(|| {
-        let _span = trace.span(SpanKind::HomSearch);
-        if source_head.len() != target_head.len() {
-            return None;
-        }
-        let s = head_binding(source_head, target_head)?;
-        let mut remaining: Vec<usize> = (0..source.len()).collect();
-        let mut result = None;
-        search(source, target, s, &mut remaining, trace, &mut |hom| {
+) -> (Option<Subst>, HomStats) {
+    let mut stats = HomStats::default();
+    let seed = (source_head.len() == target_head.len())
+        .then(|| head_binding(source_head, target_head))
+        .flatten();
+    let Some(seed) = seed else {
+        return (None, stats);
+    };
+    let mut remaining: Vec<usize> = (0..source.len()).collect();
+    let mut result = None;
+    search(
+        source,
+        target,
+        seed,
+        &mut remaining,
+        &mut stats,
+        &mut |hom| {
             result = Some(hom.clone());
             true
-        });
-        result
-    })
+        },
+    );
+    (result, stats)
 }
 
 /// Finds a homomorphism from `source` into `target` with no head
@@ -181,25 +185,24 @@ pub fn all_homs<T: AtomIndex>(
     target_head: &[Term],
     limit: usize,
 ) -> Vec<Subst> {
-    flogic_term::Metrics::global().time_hom(|| {
-        let Some(seed) = head_binding(source_head, target_head) else {
-            return Vec::new();
-        };
-        let mut remaining: Vec<usize> = (0..source.len()).collect();
-        let mut out = Vec::new();
-        search(
-            source,
-            target,
-            seed,
-            &mut remaining,
-            &TraceHandle::Disabled,
-            &mut |hom| {
-                out.push(hom.clone());
-                out.len() >= limit
-            },
-        );
-        out
-    })
+    let Some(seed) = head_binding(source_head, target_head) else {
+        return Vec::new();
+    };
+    let mut remaining: Vec<usize> = (0..source.len()).collect();
+    let mut out = Vec::new();
+    let mut stats = HomStats::default();
+    search(
+        source,
+        target,
+        seed,
+        &mut remaining,
+        &mut stats,
+        &mut |hom| {
+            out.push(hom.clone());
+            out.len() >= limit
+        },
+    );
+    out
 }
 
 /// Counts homomorphisms (careful: can be exponential).
@@ -209,25 +212,24 @@ pub fn count_homs<T: AtomIndex>(
     target: &T,
     target_head: &[Term],
 ) -> usize {
-    flogic_term::Metrics::global().time_hom(|| {
-        let Some(seed) = head_binding(source_head, target_head) else {
-            return 0;
-        };
-        let mut remaining: Vec<usize> = (0..source.len()).collect();
-        let mut n = 0usize;
-        search(
-            source,
-            target,
-            seed,
-            &mut remaining,
-            &TraceHandle::Disabled,
-            &mut |_| {
-                n += 1;
-                false
-            },
-        );
-        n
-    })
+    let Some(seed) = head_binding(source_head, target_head) else {
+        return 0;
+    };
+    let mut remaining: Vec<usize> = (0..source.len()).collect();
+    let mut n = 0usize;
+    let mut stats = HomStats::default();
+    search(
+        source,
+        target,
+        seed,
+        &mut remaining,
+        &mut stats,
+        &mut |_| {
+            n += 1;
+            false
+        },
+    );
+    n
 }
 
 #[cfg(test)]
@@ -274,6 +276,27 @@ mod tests {
             Atom::sub(c("student"), c("person")),
         ]);
         assert!(find_hom_unconstrained(&source, &t).is_some());
+    }
+
+    #[test]
+    fn counted_search_reports_its_work_and_the_same_witness() {
+        // member(X, C), sub(C, D) over a target where only one member
+        // conjunct joins a sub conjunct.
+        let source = vec![Atom::member(v("X"), v("C")), Atom::sub(v("C"), v("D"))];
+        let t = Target::new(vec![
+            Atom::member(c("john"), c("student")),
+            Atom::member(c("john"), c("person")),
+            Atom::sub(c("person"), c("agent")),
+        ]);
+        let (hom, stats) = find_hom_counted(&source, &[], &t, &[]);
+        assert_eq!(hom, find_hom_unconstrained(&source, &t));
+        assert!(hom.is_some());
+        assert_eq!(stats.expansions, 2, "one node per mapped source atom");
+        assert_eq!(stats.backtracks, 0);
+        // A head clash is decided before any node is expanded.
+        let (none, stats) = find_hom_counted(&source, &[c("a")], &t, &[c("b")]);
+        assert!(none.is_none());
+        assert_eq!(stats, HomStats::default());
     }
 
     #[test]

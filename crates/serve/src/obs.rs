@@ -25,7 +25,7 @@ use std::io::{self, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use flogic_obs::{Histogram, HistogramSnapshot, RequestSpan};
 
@@ -198,6 +198,12 @@ pub struct ServerObs {
     pub decision_hits: AtomicU64,
     /// Decisions that ran the chase/hom compute path.
     pub decision_misses: AtomicU64,
+    /// Queries this server canonicalized.
+    canon_keys: AtomicU64,
+    /// Canonicalized queries whose classic core is smaller than the query.
+    canon_reduced: AtomicU64,
+    /// Nanoseconds this server spent canonicalizing.
+    canon_nanos: AtomicU64,
     /// Responses by status class.
     pub responses_2xx: AtomicU64,
     /// 4xx responses.
@@ -246,6 +252,9 @@ impl ServerObs {
             batch_dedup_hits: AtomicU64::new(0),
             decision_hits: AtomicU64::new(0),
             decision_misses: AtomicU64::new(0),
+            canon_keys: AtomicU64::new(0),
+            canon_reduced: AtomicU64::new(0),
+            canon_nanos: AtomicU64::new(0),
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
             responses_5xx: AtomicU64::new(0),
@@ -261,6 +270,15 @@ impl ServerObs {
     /// high-watermark).
     pub fn note_queue_depth(&self, depth: u64) {
         self.queue_highwater.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// Counts `keys` canonicalized queries, `reduced` of them folded to a
+    /// smaller core, that took `elapsed` together.
+    pub fn record_canon(&self, keys: u64, reduced: u64, elapsed: Duration) {
+        self.canon_keys.fetch_add(keys, Ordering::Relaxed);
+        self.canon_reduced.fetch_add(reduced, Ordering::Relaxed);
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.canon_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Folds a finished request into the histograms, counters, and —
@@ -320,6 +338,9 @@ impl ServerObs {
             batch_dedup_hits: self.batch_dedup_hits.load(Ordering::Relaxed),
             decision_hits: self.decision_hits.load(Ordering::Relaxed),
             decision_misses: self.decision_misses.load(Ordering::Relaxed),
+            canon_keys: self.canon_keys.load(Ordering::Relaxed),
+            canon_reduced: self.canon_reduced.load(Ordering::Relaxed),
+            canon_nanos: self.canon_nanos.load(Ordering::Relaxed),
             responses_2xx: self.responses_2xx.load(Ordering::Relaxed),
             responses_4xx: self.responses_4xx.load(Ordering::Relaxed),
             responses_5xx: self.responses_5xx.load(Ordering::Relaxed),
@@ -350,6 +371,12 @@ pub struct ObsSnapshot {
     pub decision_hits: u64,
     /// Decision-cache misses (compute ran).
     pub decision_misses: u64,
+    /// Queries canonicalized.
+    pub canon_keys: u64,
+    /// Canonicalized queries folded to a smaller core.
+    pub canon_reduced: u64,
+    /// Nanoseconds spent canonicalizing.
+    pub canon_nanos: u64,
     /// Responses with status < 400.
     pub responses_2xx: u64,
     /// Responses with 4xx status.

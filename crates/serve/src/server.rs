@@ -38,7 +38,6 @@ use flogic_core::{
 use flogic_model::ConjunctiveQuery;
 use flogic_store::DurableDecisionCache;
 use flogic_syntax::parse_query;
-use flogic_term::Metrics;
 
 use crate::api::{self, ApiError};
 use crate::http::{Request, Response};
@@ -401,10 +400,11 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
 /// representative — and therefore one decision-cache key and one
 /// resident chase — the server-side analogue of
 /// [`contains_batch`](flogic_core::contains_batch). The grouping keys on
-/// [`QueryKey::of`] (core + canonical ordering), so renamed, permuted,
-/// or redundant variants of the same `q1` all land in one group; a raw
-/// text memo in front skips even the key computation for byte-identical
-/// repeats. Each reuse counts one `flqd_batch_dedup_hits_total`.
+/// the structural [`QueryKey`] of `q1`'s canonical representative, so
+/// renamed, permuted, or redundant variants of the same `q1` all land in
+/// one group; a raw text memo in front skips even the canonicalization
+/// for byte-identical repeats. Each reuse counts one
+/// `flqd_batch_dedup_hits_total`.
 fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Response {
     let req = match api::parse_batch(body) {
         Ok(req) => req,
@@ -444,7 +444,8 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
                 shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
                 idx
             } else {
-                match rep_of_key.entry(QueryKey::of(q1)) {
+                let c1 = canonical(shared, q1);
+                match rep_of_key.entry(QueryKey::structural(&c1)) {
                     Entry::Occupied(e) => {
                         shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
                         let idx = *e.get();
@@ -452,7 +453,7 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
                         idx
                     }
                     Entry::Vacant(v) => {
-                        reps.push(canonical_query(q1));
+                        reps.push(c1);
                         let idx = reps.len() - 1;
                         v.insert(idx);
                         rep_of_text.insert(raw, idx);
@@ -460,7 +461,7 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
                     }
                 }
             };
-            let c2 = canonical_query(q2);
+            let c2 = canonical(shared, q2);
             let mut o = opts.clone();
             o.canon = false;
             decide_canonical(shared, &reps[idx], &c2, &o).0
@@ -498,11 +499,16 @@ fn decide_pair(
     opts: &ContainmentOptions,
     mut meta: Option<&mut ReqMeta>,
 ) -> Result<ContainmentResult, CoreError> {
+    let start = Instant::now();
     let canonical = if q1.arity() == q2.arity() {
         canonical_pair(q1, q2, opts)
     } else {
         None
     };
+    if let Some((c1, c2)) = &canonical {
+        let reduced = u64::from(c1.size() < q1.size()) + u64::from(c2.size() < q2.size());
+        shared.obs.record_canon(2, reduced, start.elapsed());
+    }
     if let Some(m) = meta.as_deref_mut() {
         m.span.mark("canon");
     }
@@ -559,6 +565,15 @@ fn decide_canonical(
     };
     counter.fetch_add(1, Ordering::Relaxed);
     (out, computed)
+}
+
+/// [`canonical_query`], counted on this server's `flqd_canon_*` families.
+fn canonical(shared: &Shared, q: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let start = Instant::now();
+    let c = canonical_query(q);
+    let reduced = u64::from(c.size() < q.size());
+    shared.obs.record_canon(1, reduced, start.elapsed());
+    c
 }
 
 fn parse_wire_query(text: &str) -> Result<ConjunctiveQuery, ApiError> {
@@ -691,26 +706,20 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> String {
         "counter",
         snap.batch_dedup_hits,
     );
-    // Process-global canonicalization counters, so `--no-canon` vs
-    // canon-on is scrapeable.
-    let global = Metrics::global().snapshot();
-    simple(
-        &mut s,
-        "flqd_canon_keys_total",
-        "counter",
-        global.canon_keys,
-    );
+    // This server's canonicalization passes, so `--no-canon` vs canon-on
+    // is scrapeable.
+    simple(&mut s, "flqd_canon_keys_total", "counter", snap.canon_keys);
     simple(
         &mut s,
         "flqd_canon_reduced_total",
         "counter",
-        global.canon_reduced,
+        snap.canon_reduced,
     );
     simple(
         &mut s,
         "flqd_canon_nanoseconds_total",
         "counter",
-        global.canon_nanos,
+        snap.canon_nanos,
     );
     // The durable decision tier, present only when `--data-dir` is set
     // (no sampleless families for a tier that does not exist).

@@ -159,6 +159,42 @@ fn contains_and_batch_answer_real_verdicts() {
     join.join().expect("join").expect("clean drain");
 }
 
+/// The value of one sample line of a `/metrics` body.
+fn sample(metrics: &str, family: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{family}` sample in:\n{metrics}"))
+}
+
+#[test]
+fn canon_counters_belong_to_their_own_server() {
+    // Two servers in one process: the canon-on one canonicalizes both
+    // sides of its pair, the `--no-canon` one none, whatever the other
+    // server did.
+    let (on_addr, on_handle, on_join) = start(ServerConfig::default());
+    let (off_addr, off_handle, off_join) = start(ServerConfig {
+        canon: false,
+        ..ServerConfig::default()
+    });
+    let (status, body) = exchange(on_addr, "POST", "/v1/contains", &contains_body(Q1, Q2));
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = exchange(off_addr, "POST", "/v1/contains", &contains_body(Q1, Q2));
+    assert_eq!(status, 200, "{body}");
+
+    let (_, on) = exchange(on_addr, "GET", "/metrics", "");
+    let (_, off) = exchange(off_addr, "GET", "/metrics", "");
+    assert_eq!(sample(&on, "flqd_canon_keys_total"), 2, "{on}");
+    assert_eq!(sample(&off, "flqd_canon_keys_total"), 0, "{off}");
+    assert_eq!(sample(&off, "flqd_canon_reduced_total"), 0, "{off}");
+    assert_eq!(sample(&off, "flqd_canon_nanoseconds_total"), 0, "{off}");
+
+    for (handle, join) in [(on_handle, on_join), (off_handle, off_join)] {
+        handle.shutdown();
+        join.join().expect("join").expect("clean drain");
+    }
+}
+
 #[test]
 fn exhausted_decisions_are_200_with_exhausted_verdict() {
     let (addr, handle, join) = start(ServerConfig::default());

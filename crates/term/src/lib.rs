@@ -19,14 +19,12 @@
 //! id order *is* the paper's "lexicographically follows all other constants
 //! in the segment of the chase constructed so far").
 
-pub mod metrics;
 mod null;
 pub mod rng;
 mod subst;
 mod symbol;
 mod term;
 
-pub use metrics::{Metrics, MetricsSnapshot};
 pub use null::{NullGen, NullId};
 pub use subst::Subst;
 pub use symbol::Symbol;

@@ -9,10 +9,10 @@
 //!                                    prove the containment step by step
 //! flq profile   "<q1>" "<q2>" [--threads N] [--timeout MS] [--max-conjuncts N]
 //!               [--sigma FILE]
-//!                                    decide q1 ⊆_Σ q2 with tracing on and
-//!                                    print the chase profile: per-rule firing
-//!                                    histogram, level growth, phase timing,
-//!                                    observed depth vs. the Theorem 12 bound
+//!                                    decide q1 ⊆_Σ q2 and print the chase
+//!                                    profile: per-rule firing histogram,
+//!                                    level growth, phase timing, observed
+//!                                    depth vs. the Theorem 12 bound
 //! flq chase     "<q>" [--bound N] [--dot] [--threads N]
 //!                     [--timeout MS] [--max-conjuncts N] [--sigma FILE]
 //!                                    materialize the (bounded) chase
@@ -84,15 +84,6 @@
 //! * `--limit N` — `flq cache inspect` only: how many persisted decisions
 //!   to decode and print (default 10).
 //!
-//! Every subcommand additionally accepts:
-//!
-//! * `--trace-out FILE` — record structured chase events and write them as
-//!   JSONL to `FILE` on exit (one flat JSON object per event; an empty run
-//!   yields an empty, still-valid file). Tracing never changes verdicts.
-//! * `--metrics` — print the process-wide
-//!   [`MetricsSnapshot`] delta for this
-//!   invocation to stderr on exit.
-//!
 //! Exit codes: `0` success, `1` failure (parse error, diagnostics, …),
 //! `2` usage error, `3` resource exhaustion — the budget ran out before
 //! the procedure could decide; nothing is known about the verdict.
@@ -108,20 +99,20 @@
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flogic_lite::analysis::{admit_sigma, classify_rule_set, lint_source};
 use flogic_lite::chase::{chase_bounded, to_dot, to_text, Budget, ChaseOptions};
 use flogic_lite::core::{
-    classic_contains, contains_with, explain, minimize_with, ContainmentOptions, CoreError,
+    classic_contains, contains_with, explain, minimize_with, theorem_bound, ChaseSnapshot,
+    ContainmentOptions, CoreError,
 };
 use flogic_lite::datalog::{answers, close_database, ClosureOptions};
+use flogic_lite::hom::{find_hom_counted, HomStats};
 use flogic_lite::model::{DepGraph, RuleSet};
-use flogic_lite::obs::{export, ChaseProfile, TraceHandle, Tracer};
 use flogic_lite::prelude::*;
 use flogic_lite::serve::SERVE_FLAGS;
 use flogic_lite::syntax::query_to_flogic;
-use flogic_lite::term::{Metrics, MetricsSnapshot};
 
 /// Exit code for resource exhaustion: the budget ran out before the
 /// procedure could decide (distinct from failure, which means the answer
@@ -149,8 +140,6 @@ fn usage_text() -> String {
          flq serve {SERVE_FLAGS}\n  \
          flq status <url>\n  \
          flq cache <stat|compact|inspect|verify> DIR [--limit N]\n  flq help (also --help, -h)\n\
-         every subcommand also accepts --trace-out FILE (JSONL event trace)\n\
-         and --metrics (counter deltas on stderr)\n\
          exit codes: 0 success, 1 failure, 2 usage error (incl. rejected --sigma sets), 3 exhausted budget"
     )
 }
@@ -227,111 +216,13 @@ fn load_sigma(path: &str) -> Result<Arc<RuleSet>, ExitCode> {
     Ok(admission.rule_set().clone())
 }
 
-/// Cross-cutting observability state behind the `--trace-out` and
-/// `--metrics` flags every subcommand accepts.
-struct CliObs {
-    /// Event sink; present iff `--trace-out` was given (or the subcommand
-    /// forces tracing, as `flq profile` does).
-    tracer: Option<Arc<Tracer>>,
-    /// Where to write the JSONL trace at exit.
-    trace_out: Option<String>,
-    /// Baseline snapshot taken when `--metrics` was parsed; the delta
-    /// against it is printed to stderr at exit.
-    metrics_before: Option<MetricsSnapshot>,
-}
-
-impl CliObs {
-    fn disabled() -> CliObs {
-        CliObs {
-            tracer: None,
-            trace_out: None,
-            metrics_before: None,
-        }
-    }
-
-    /// Tries to consume `arg` (and, for `--trace-out`, its value from
-    /// `it`) as one of the shared observability flags. `Ok(true)` means
-    /// the flag was recognised and handled.
-    fn try_consume(
-        &mut self,
-        arg: &str,
-        it: &mut std::slice::Iter<'_, String>,
-    ) -> Result<bool, ExitCode> {
-        match arg {
-            "--trace-out" => match it.next() {
-                Some(path) => {
-                    self.trace_out = Some(path.clone());
-                    self.ensure_tracer();
-                    Ok(true)
-                }
-                None => {
-                    eprintln!("error: --trace-out needs a file path");
-                    Err(usage())
-                }
-            },
-            "--metrics" => {
-                self.metrics_before = Some(Metrics::global().snapshot());
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Makes sure an event sink exists (used by `flq profile`, which
-    /// traces even without `--trace-out`).
-    fn ensure_tracer(&mut self) {
-        if self.tracer.is_none() {
-            self.tracer = Some(Tracer::with_default_capacity());
-        }
-    }
-
-    /// The handle instrumented code should record through: enabled iff a
-    /// tracer exists, otherwise the zero-cost disabled handle.
-    fn handle(&self) -> TraceHandle {
-        match &self.tracer {
-            Some(t) => TraceHandle::enabled(t),
-            None => TraceHandle::Disabled,
-        }
-    }
-
-    /// Writes the JSONL trace (if requested) and prints the metrics delta
-    /// (if requested). Returns the exit code to use: `code` itself, or
-    /// failure when the trace file could not be written.
-    fn finish(&self, code: ExitCode) -> ExitCode {
-        let mut out = code;
-        if let (Some(tracer), Some(path)) = (&self.tracer, &self.trace_out) {
-            let snapshot = tracer.snapshot();
-            let written = std::fs::File::create(path).and_then(|f| {
-                let mut w = std::io::BufWriter::new(f);
-                export::write_jsonl(&mut w, &snapshot)?;
-                w.flush()
-            });
-            if let Err(e) = written {
-                eprintln!("error writing trace to {path}: {e}");
-                out = ExitCode::FAILURE;
-            }
-        }
-        if let Some(before) = &self.metrics_before {
-            eprintln!("metrics: {}", Metrics::global().snapshot().since(before));
-        }
-        out
-    }
-}
-
-/// Splits `args` into positionals, containment options and observability
-/// state; any flag not listed in the module docs is a usage error.
-#[allow(clippy::type_complexity)]
-fn split_contains_args(
-    args: &[String],
-) -> Result<(Vec<&String>, ContainmentOptions, CliObs), ExitCode> {
+/// Splits `args` into positionals and containment options; any flag not
+/// listed in the module docs is a usage error.
+fn split_contains_args(args: &[String]) -> Result<(Vec<&String>, ContainmentOptions), ExitCode> {
     let mut opts = ContainmentOptions::default();
-    let mut obs = CliObs::disabled();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if obs.try_consume(a.as_str(), &mut it)? {
-            continue;
-        }
         match a.as_str() {
             "--threads" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => opts.threads = n,
@@ -369,20 +260,18 @@ fn split_contains_args(
             _ => positional.push(a),
         }
     }
-    opts.trace = obs.handle();
-    Ok((positional, opts, obs))
+    Ok((positional, opts))
 }
 
 fn cmd_contains(args: &[String]) -> ExitCode {
-    let (positional, opts, obs) = match split_contains_args(args) {
+    let (positional, opts) = match split_contains_args(args) {
         Ok(p) => p,
         Err(code) => return code,
     };
     let [q1_src, q2_src] = positional.as_slice() else {
         return usage();
     };
-    let code = run_contains(q1_src, q2_src, &opts);
-    obs.finish(code)
+    run_contains(q1_src, q2_src, &opts)
 }
 
 fn run_contains(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCode {
@@ -465,15 +354,14 @@ fn run_contains(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCo
 }
 
 fn cmd_explain(args: &[String]) -> ExitCode {
-    let (positional, opts, obs) = match split_contains_args(args) {
+    let (positional, opts) = match split_contains_args(args) {
         Ok(p) => p,
         Err(code) => return code,
     };
     let [q1_src, q2_src] = positional.as_slice() else {
         return usage();
     };
-    let code = run_explain(q1_src, q2_src, &opts);
-    obs.finish(code)
+    run_explain(q1_src, q2_src, &opts)
 }
 
 fn run_explain(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCode {
@@ -501,30 +389,43 @@ fn run_explain(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCod
 }
 
 fn cmd_profile(args: &[String]) -> ExitCode {
-    let (positional, mut opts, mut obs) = match split_contains_args(args) {
+    let (positional, mut opts) = match split_contains_args(args) {
         Ok(p) => p,
         Err(code) => return code,
     };
     let [q1_src, q2_src] = positional.as_slice() else {
         return usage();
     };
-    // Profiling always traces, with or without --trace-out, and forces the
-    // chase to materialize: a containment short-circuited by static
-    // analysis would have nothing to report.
-    obs.ensure_tracer();
+    // A containment short-circuited by static analysis would have no
+    // chase to profile.
     opts.analysis = false;
-    opts.trace = obs.handle();
-    let code = run_profile(q1_src, q2_src, &opts, &obs);
-    obs.finish(code)
+    run_profile(q1_src, q2_src, &opts)
 }
 
-fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions, obs: &CliObs) -> ExitCode {
+/// The chase level bound `contains_with` would use for the pair: the
+/// Theorem 12 bound under `Σ_FL`, the admission-derived bound otherwise.
+fn pair_bound(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, opts: &ContainmentOptions) -> u32 {
+    if opts.sigma.is_sigma_fl() {
+        theorem_bound(q1, q2)
+    } else {
+        classify_rule_set(opts.sigma.clone()).level_bound(q1.size(), q2.size())
+    }
+}
+
+/// Decides the pair on one chase snapshot and prints what that chase and
+/// a homomorphism search on it did.
+fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCode {
     let (q1, q2) = match (parse_or_exit(q1_src), parse_or_exit(q2_src)) {
         (Ok(a), Ok(b)) => (a, b),
         _ => return ExitCode::FAILURE,
     };
-    let result = match contains_with(&q1, &q2, opts) {
-        Ok(r) => r,
+    let chase_start = Instant::now();
+    let decided = ChaseSnapshot::build(&q1, pair_bound(&q1, &q2, opts), opts).and_then(|snap| {
+        let chase_time = chase_start.elapsed();
+        snap.contains(&q2, opts).map(|r| (snap, chase_time, r))
+    });
+    let (snapshot, chase_time, result) = match decided {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -533,7 +434,7 @@ fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions, obs: &CliO
     println!("q1: {q1}");
     println!("q2: {q2}");
     println!();
-    let exhausted = matches!(result.verdict(), flogic_lite::core::Verdict::Exhausted(_));
+    let exhausted = result.is_exhausted();
     match result.verdict() {
         flogic_lite::core::Verdict::Exhausted(reason) => println!(
             "q1 ⊆_ΣFL q2:  EXHAUSTED ({reason}) — the profile below covers the\n\
@@ -542,12 +443,61 @@ fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions, obs: &CliO
         _ => println!("q1 ⊆_ΣFL q2:  {}", result.holds()),
     }
     println!();
-    let snapshot = obs
-        .tracer
-        .as_ref()
-        .map(|t| t.snapshot())
-        .unwrap_or_else(flogic_lite::obs::TraceSnapshot::empty);
-    print!("{}", ChaseProfile::from_snapshot(&snapshot));
+
+    let chase = snapshot.chase();
+    let stats = chase.stats();
+    // The hom search runs where the decision tail runs it: on a chase that
+    // neither failed nor ran out of budget.
+    let hom_start = Instant::now();
+    let hom = if chase.is_failed() || chase.is_exhausted() {
+        HomStats::default()
+    } else {
+        find_hom_counted(q2.body(), q2.head(), chase, chase.head()).1
+    };
+    let hom_time = hom_start.elapsed();
+
+    let firings = stats.rule_firings();
+    println!("rule firings (Σ_FL):");
+    for (i, count) in firings.iter().enumerate() {
+        let note = match i {
+            3 => "  (EGD merge rounds)",
+            4 => "  (value invention)",
+            _ => "",
+        };
+        println!("  rho{:<2} {count:>8}{note}", i + 1);
+    }
+    println!("  total {:>8}", firings.iter().sum::<usize>());
+    println!("level growth:");
+    println!("  {:>5} {:>10} {:>10}", "level", "created", "invented");
+    for (level, g) in chase.level_growth().iter().enumerate() {
+        println!("  {level:>5} {:>10} {:>10}", g.created, g.invented);
+    }
+    println!("phase timing:");
+    for (phase, took) in [("chase", chase_time), ("hom_search", hom_time)] {
+        println!("  {phase:<13} {:>10.3} ms", took.as_secs_f64() * 1e3);
+    }
+    println!(
+        "egd: {} merge rounds, {} terms merged, max union-find depth {}",
+        stats.merge_rounds, stats.merges, stats.union_find_depth
+    );
+    println!("nulls invented (rho5): {}", stats.nulls_invented);
+    println!(
+        "hom search: {} expansions, {} backtracks, {} prunes",
+        hom.expansions, hom.backtracks, hom.prunes
+    );
+    if exhausted {
+        println!("governor stops: 1");
+    }
+    let depth = chase.max_level();
+    let theorem = theorem_bound(&q1, &q2);
+    let ratio = match theorem {
+        0 => String::new(),
+        t => format!(" = {:.3}", f64::from(depth) / f64::from(t)),
+    };
+    println!(
+        "observed depth {depth} / theorem bound {theorem}{ratio} (level bound {})",
+        snapshot.level_bound()
+    );
     if exhausted {
         return ExitCode::from(EXIT_EXHAUSTED);
     }
@@ -593,7 +543,7 @@ fn print_invention_cycles(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, opts: &C
     }
     println!(
         "      so the chase may be infinite and is cut at the derived level bound {}.",
-        classify_rule_set(opts.sigma.clone()).level_bound(q1.size(), q2.size())
+        pair_bound(q1, q2, opts)
     );
 }
 
@@ -611,14 +561,8 @@ fn cmd_chase(args: &[String]) -> ExitCode {
     let mut max_conjuncts = 1_000_000;
     let mut budget = Budget::unlimited();
     let mut sigma = RuleSet::sigma_fl().clone();
-    let mut obs = CliObs::disabled();
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
-        match obs.try_consume(a.as_str(), &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(code) => return code,
-        }
         match a.as_str() {
             "--bound" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => bound = n,
@@ -658,11 +602,9 @@ fn cmd_chase(args: &[String]) -> ExitCode {
         max_conjuncts,
         threads,
         budget,
-        trace: obs.handle(),
         sigma,
     };
-    let code = run_chase(&q, &chase_opts, dot);
-    obs.finish(code)
+    run_chase(&q, &chase_opts, dot)
 }
 
 fn run_chase(q: &ConjunctiveQuery, opts: &ChaseOptions, dot: bool) -> ExitCode {
@@ -712,15 +654,14 @@ fn run_chase(q: &ConjunctiveQuery, opts: &ChaseOptions, dot: bool) -> ExitCode {
 }
 
 fn cmd_minimize(args: &[String]) -> ExitCode {
-    let (positional, opts, obs) = match split_contains_args(args) {
+    let (positional, opts) = match split_contains_args(args) {
         Ok(p) => p,
         Err(code) => return code,
     };
     let [q_src] = positional.as_slice() else {
         return usage();
     };
-    let code = run_minimize(q_src, &opts);
-    obs.finish(code)
+    run_minimize(q_src, &opts)
 }
 
 fn run_minimize(q_src: &str, opts: &ContainmentOptions) -> ExitCode {
@@ -746,16 +687,11 @@ fn run_minimize(q_src: &str, opts: &ContainmentOptions) -> ExitCode {
     }
 }
 
-/// Splits the args of the file-oriented subcommand (`eval`): exactly one
-/// positional path plus the shared observability flags.
-fn split_file_args(args: &[String]) -> Result<(&String, CliObs), ExitCode> {
-    let mut obs = CliObs::disabled();
+/// Splits the args of a subcommand that takes exactly one positional
+/// (`eval`'s path, `status`'s url) and no flags.
+fn split_file_args(args: &[String]) -> Result<&String, ExitCode> {
     let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if obs.try_consume(a.as_str(), &mut it)? {
-            continue;
-        }
+    for a in args {
         if a.starts_with("--") {
             eprintln!("error: unknown flag `{a}`");
             return Err(usage());
@@ -765,21 +701,15 @@ fn split_file_args(args: &[String]) -> Result<(&String, CliObs), ExitCode> {
     let [path] = positional.as_slice() else {
         return Err(usage());
     };
-    Ok((path, obs))
+    Ok(path)
 }
 
 fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut obs = CliObs::disabled();
     let mut json = false;
     let mut sigma_path: Option<&String> = None;
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match obs.try_consume(a.as_str(), &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(code) => return code,
-        }
         match a.as_str() {
             "--json" => json = true,
             "--sigma" => match it.next() {
@@ -796,12 +726,11 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             _ => positional.push(a),
         }
     }
-    let code = match (sigma_path, positional.as_slice()) {
+    match (sigma_path, positional.as_slice()) {
         (Some(path), []) => run_lint_sigma(path, json),
         (None, [path]) => run_lint(path, json),
         _ => usage(),
-    };
-    obs.finish(code)
+    }
 }
 
 /// One diagnostic as a flat JSON object — one line of `lint --json`
@@ -915,11 +844,11 @@ fn run_lint_sigma(path: &str, json: bool) -> ExitCode {
 /// `flq status <url>`: fetch `/v1/status` from a running `flqd` and
 /// render the JSON rollup as a human-readable table.
 fn cmd_status(args: &[String]) -> ExitCode {
-    let (url, obs) = match split_file_args(args) {
+    let url = match split_file_args(args) {
         Ok(p) => p,
         Err(code) => return code,
     };
-    let code = match fetch_status(url) {
+    match fetch_status(url) {
         Ok((addr, body)) => match render_status(&addr, &body) {
             Ok(table) => {
                 print!("{table}");
@@ -934,8 +863,7 @@ fn cmd_status(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    };
-    obs.finish(code)
+    }
 }
 
 /// One `GET /v1/status` exchange over a fresh connection. Accepts
@@ -1066,16 +994,10 @@ fn render_status(addr: &str, body: &str) -> Result<String, String> {
 /// path the server does (WAL replay, manifest fencing, quarantine), so
 /// `stat` on a just-crashed dir also reports what recovery found.
 fn cmd_cache(args: &[String]) -> ExitCode {
-    let mut obs = CliObs::disabled();
     let mut limit = 10usize;
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match obs.try_consume(a.as_str(), &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(code) => return code,
-        }
         match a.as_str() {
             "--limit" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => limit = n,
@@ -1094,8 +1016,7 @@ fn cmd_cache(args: &[String]) -> ExitCode {
     let [action, dir] = positional.as_slice() else {
         return usage();
     };
-    let code = run_cache(action, dir, limit);
-    obs.finish(code)
+    run_cache(action, dir, limit)
 }
 
 fn run_cache(action: &str, dir: &str, limit: usize) -> ExitCode {
@@ -1217,12 +1138,10 @@ fn run_cache(action: &str, dir: &str, limit: usize) -> ExitCode {
 }
 
 fn cmd_eval(args: &[String]) -> ExitCode {
-    let (path, obs) = match split_file_args(args) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let code = run_eval(path);
-    obs.finish(code)
+    match split_file_args(args) {
+        Ok(path) => run_eval(path),
+        Err(code) => code,
+    }
 }
 
 fn run_eval(path: &str) -> ExitCode {

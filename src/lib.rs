@@ -21,8 +21,8 @@
 //! * [`analysis`] — static diagnostics (`FL001`…), the `Σ_FL` dependency
 //!   graph and the containment fast paths behind
 //!   [`ContainmentOptions::analysis`](flogic_core::ContainmentOptions);
-//! * [`obs`] — structured chase tracing: typed events, per-worker ring
-//!   buffers, `ChaseProfile` rollups and JSONL/CSV export;
+//! * [`obs`] — `flqd`'s request-level observability primitives: latency
+//!   histograms and per-request stage spans;
 //! * [`serve`] — `flqd`, the resident batched containment service: a
 //!   dependency-free HTTP/1.1 server with warm decision and
 //!   chase-snapshot caches (also reachable as `flq serve`);
