@@ -12,12 +12,17 @@
 //! Σ-containment question alike (equivalent queries have identical
 //! answers on every database, hence on every model of Σ).
 //!
-//! The total ordering replaces an earlier greedy pass whose tie-breaking
-//! fell back to input order, so isomorphic queries could get distinct
-//! keys. The new pass backtracks over tied choices and emits the
+//! [`KeyBuilder`] is the only code that turns a query pair into a cache
+//! key. It canonicalizes each query once, writing the portable byte
+//! layout of `docs/STORAGE.md` directly: the in-RAM [`DecisionCache`]
+//! hashes those [`DecisionKey`] bytes, the durable tier (crate
+//! `flogic-store`) files them, and `flqd`'s snapshot cache keys `q1`'s
+//! chase by their `q1` half.
+//!
+//! The total ordering backtracks over tied choices and emits the
 //! lexicographically least complete encoding; for any two isomorphic
 //! queries within the (deterministic) search budget the encodings are
-//! equal, so equal keys are now both sound *and* — up to the budget —
+//! equal, so equal keys are both sound *and* — up to the budget —
 //! complete: equal keys always mean equivalent queries, and equivalent
 //! queries get equal keys unless a pathologically symmetric body exhausts
 //! [`CANON_NODE_BUDGET`], in which case the pass degrades to the greedy
@@ -37,65 +42,14 @@ use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::{LazyLock, Mutex};
 
 use flogic_hom::classic_core;
-use flogic_model::{Atom, ConjunctiveQuery, Pred};
+use flogic_model::{Atom, ConjunctiveQuery};
 use flogic_term::{Symbol, Term};
 
 use crate::decide::{
     contains_batch, contains_with, derived_bound, ContainmentOptions, ContainmentResult,
 };
+use crate::persist::{put_term, put_u32, put_u64, PERSIST_FORMAT_VERSION};
 use crate::CoreError;
-
-/// A term in canonical form: variables are replaced by their
-/// first-occurrence index (head first, then the canonically ordered
-/// body), everything else is kept verbatim.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) enum CanonTerm {
-    /// A rigid constant, by name.
-    Const(Symbol),
-    /// A labelled null (cannot appear in well-formed queries, but the
-    /// canonicalization is total anyway), by id.
-    Null(u64),
-    /// A variable, by first-occurrence index.
-    Var(u32),
-}
-
-/// A query in canonical form. Two queries with equal `CanonQuery`s are
-/// identical up to variable renaming and body-conjunct order, hence
-/// `Σ_FL`-equivalent — they answer every containment question alike.
-///
-/// It carries a hash of its content, computed once when it is built, and
-/// [`Hash`] writes only that word. The decision and snapshot caches key
-/// on canonical queries and grow by doubling; a rehash then reads one
-/// word per entry instead of walking every key's scattered head, body
-/// and argument vectors. That walk cost ~1.5–3 µs per resident entry on
-/// a 2-vCPU VM: under never-repeated traffic, the request that grew both
-/// tables past 14 336 entries stalled for ~60 ms.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct CanonQuery {
-    hash: u64,
-    pub(crate) head: Vec<CanonTerm>,
-    pub(crate) body: Vec<(Pred, Vec<CanonTerm>)>,
-}
-
-/// The keys of [`CanonQuery`]'s content hash, drawn once per process so
-/// that clients cannot craft queries whose hashes collide.
-static CANON_HASH_KEYS: LazyLock<RandomState> = LazyLock::new(RandomState::new);
-
-impl CanonQuery {
-    fn new(head: Vec<CanonTerm>, body: Vec<(Pred, Vec<CanonTerm>)>) -> CanonQuery {
-        CanonQuery {
-            hash: CANON_HASH_KEYS.hash_one((&head, &body)),
-            head,
-            body,
-        }
-    }
-}
-
-impl Hash for CanonQuery {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
 
 /// Ordering key for an atom *under a partial variable numbering*:
 /// constants sort by name, numbered variables by their number, and
@@ -237,56 +191,88 @@ impl CanonSearch<'_> {
     }
 }
 
-fn assign(t: &Term, numbering: &mut HashMap<Symbol, u32>) -> CanonTerm {
-    match t {
-        Term::Const(s) => CanonTerm::Const(*s),
-        Term::Null(n) => CanonTerm::Null(n.0),
-        Term::Var(v) => {
-            let next = numbering.len() as u32;
-            CanonTerm::Var(*numbering.entry(*v).or_insert(next))
-        }
+/// Writes one `canon_query` term: a variable by its first-occurrence
+/// index, numbering it on first sight; anything else as values do.
+fn emit_term(out: &mut Vec<u8>, t: &Term, numbering: &mut HashMap<Symbol, u32>) {
+    if let Term::Var(v) = t {
+        let next = numbering.len() as u32;
+        out.push(2);
+        put_u32(out, *numbering.entry(*v).or_insert(next));
+    } else {
+        put_term(out, t);
     }
 }
 
-/// Computes the *structural* canonical form: number the head variables in
-/// head order (the head is the one part of a query whose order is
-/// semantically fixed), then emit body atoms in the order found by
-/// [`CanonSearch`], extending the numbering with each emitted atom's
-/// fresh variables. Also returns the emission order (indices into
-/// `q.body()`) and the final variable numbering, so callers can rebuild a
-/// real [`ConjunctiveQuery`] in canonical shape.
-fn canonicalize_full(q: &ConjunctiveQuery) -> (CanonQuery, Vec<usize>, HashMap<Symbol, u32>) {
+/// Canonicalizes `q`, writing its `canon_query` bytes to `out`: the head
+/// variables numbered in head order (the head is the one part of a query
+/// whose order is semantically fixed), then the body atoms in the order
+/// [`CanonSearch`] finds, each extending the numbering with its fresh
+/// variables. Returns that emission order (indices into `q.body()`) and
+/// the final numbering.
+fn canonicalize(q: &ConjunctiveQuery, out: &mut Vec<u8>) -> (Vec<usize>, HashMap<Symbol, u32>) {
     let mut numbering: HashMap<Symbol, u32> = HashMap::new();
-    let head = q.head().iter().map(|t| assign(t, &mut numbering)).collect();
+    put_u32(out, q.head().len() as u32);
+    for t in q.head() {
+        emit_term(out, t, &mut numbering);
+    }
     let order = CanonSearch {
         atoms: q.body(),
         budget: CANON_NODE_BUDGET,
     }
     .emission_order(&numbering);
-    let mut body = Vec::with_capacity(order.len());
+    put_u32(out, order.len() as u32);
     for &i in &order {
         let atom = &q.body()[i];
-        body.push((
-            atom.pred(),
-            atom.args()
-                .iter()
-                .map(|t| assign(t, &mut numbering))
-                .collect(),
-        ));
+        out.push(atom.pred().index() as u8);
+        put_u32(out, atom.args().len() as u32);
+        for t in atom.args() {
+            emit_term(out, t, &mut numbering);
+        }
     }
-    (CanonQuery::new(head, body), order, numbering)
+    (order, numbering)
 }
 
-fn canonicalize(q: &ConjunctiveQuery) -> CanonQuery {
-    canonicalize_full(q).0
+/// One query canonicalized once: its half of a [`DecisionKey`].
+struct Half {
+    /// `canon_query` bytes of the classic core (semantic) or of `q` itself.
+    bytes: Vec<u8>,
+    /// The body size of the query those bytes describe.
+    size: usize,
+    /// On request, that query in canonical shape ([`canonical_query`]).
+    representative: Option<ConjunctiveQuery>,
 }
 
-/// The semantic half of a cache key: the canonicalized classic core plus
-/// the core's size.
-fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
-    let core = classic_core(q);
-    (canonicalize(&core), core.size())
+impl Half {
+    fn new(q: &ConjunctiveQuery, semantic: bool, with_representative: bool) -> Half {
+        let core = semantic.then(|| classic_core(q));
+        let q = core.as_ref().unwrap_or(q);
+        let mut bytes = Vec::with_capacity(64);
+        let (order, numbering) = canonicalize(q, &mut bytes);
+        let representative = with_representative.then(|| {
+            let rename = |t: &Term| match t {
+                Term::Var(v) => Term::var(&format!("C{}", numbering[v])),
+                other => *other,
+            };
+            let body = order.iter().map(|&i| {
+                let (pred, args) = (q.body()[i].pred(), q.body()[i].args());
+                Atom::new(pred, &args.iter().map(rename).collect::<Vec<_>>())
+                    .expect("renaming preserves arity")
+            });
+            let head = q.head().iter().map(rename).collect();
+            ConjunctiveQuery::new(q.name(), head, body.collect())
+                .expect("canonical renaming preserves well-formedness")
+        });
+        Half {
+            bytes,
+            size: q.size(),
+            representative,
+        }
+    }
 }
+
+/// The keys of the precomputed key hashes, drawn once per process so
+/// that clients cannot craft queries whose hashes collide.
+static KEY_HASHER: LazyLock<RandomState> = LazyLock::new(RandomState::new);
 
 /// The semantic canonical representative of `q` as a real query: the
 /// classic core with canonical variable names (`C0`, `C1`, … in canonical
@@ -295,11 +281,10 @@ fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
 ///
 /// Every query in an equivalence class maps to the *same* representative
 /// (up to the search budget, see the module docs), so deciding on the
-/// representative instead of the original makes *everything* downstream —
-/// decision-cache keys, chase-snapshot keys, derived level bounds —
-/// agree across syntactic variants. This is how `flqd` unifies variant
-/// traffic: it substitutes the representatives up front and runs the
-/// whole decision stack on them.
+/// representative instead of the original makes everything downstream —
+/// chase snapshots, derived level bounds, reported metadata — agree
+/// across syntactic variants. `flqd` decides on the representatives its
+/// [`KeyBuilder`] returns with each key.
 ///
 /// ```
 /// use flogic_core::canonical_query;
@@ -310,23 +295,9 @@ fn semantic_parts(q: &ConjunctiveQuery) -> (CanonQuery, usize) {
 /// assert_eq!(canonical_query(&a), canonical_query(&b));
 /// ```
 pub fn canonical_query(q: &ConjunctiveQuery) -> ConjunctiveQuery {
-    let core = classic_core(q);
-    let (_, order, numbering) = canonicalize_full(&core);
-    let rename = |t: &Term| match t {
-        Term::Var(v) => Term::var(&format!("C{}", numbering[v])),
-        other => *other,
-    };
-    let head: Vec<Term> = core.head().iter().map(rename).collect();
-    let body: Vec<Atom> = order
-        .iter()
-        .map(|&i| {
-            let a = &core.body()[i];
-            let args: Vec<Term> = a.args().iter().map(rename).collect();
-            Atom::new(a.pred(), &args).expect("renaming preserves arity")
-        })
-        .collect();
-    ConjunctiveQuery::new(core.name(), head, body)
-        .expect("canonical renaming preserves well-formedness")
+    Half::new(q, true, true)
+        .representative
+        .expect("asked for the representative")
 }
 
 /// The canonical representatives of a pair, when substituting them is
@@ -334,40 +305,33 @@ pub fn canonical_query(q: &ConjunctiveQuery) -> ConjunctiveQuery {
 /// be on and the run must be *exact* (no explicit level bound below the
 /// bound derived from the original sizes). Returns `None` otherwise —
 /// truncated runs answer a bound-dependent question about the literal
-/// queries, so their inputs must be left alone.
+/// queries, so their inputs must be left alone — and for a pair of
+/// different arities.
 ///
 /// On `Some((c1, c2))`, deciding `c1 ⊆ c2` under the bound derived from
 /// the *core* sizes gives the same verdict as the original pair under its
 /// own derived bound: classically equivalent queries have identical
 /// answers on every model of Σ, and Theorem 12 applied to the core pair
-/// is complete for that question.
+/// is complete for that question. [`KeyBuilder::with_representatives`]
+/// returns this pair with the pair's key.
 pub fn canonical_pair(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     opts: &ContainmentOptions,
 ) -> Option<(ConjunctiveQuery, ConjunctiveQuery)> {
-    if !opts.canon {
-        return None;
-    }
-    let derived = derived_bound(opts, q1.size(), q2.size());
-    if opts.level_bound.is_some_and(|b| b < derived) {
-        return None;
-    }
-    Some((canonical_query(q1), canonical_query(q2)))
+    let mut builder = KeyBuilder::new(q1, opts).with_representatives();
+    builder.key(q2).ok()?.1
 }
 
-/// An opaque, hashable canonical key for a single query.
+/// An opaque, hashable canonical key for a single query: its
+/// `canon_query` bytes, hashed once like a [`DecisionKey`].
 ///
 /// [`QueryKey::of`] is the *semantic* key (classic core + total
 /// ordering): equal keys mean classically equivalent queries, which
 /// answer every `Σ`-containment question alike. [`QueryKey::structural`]
 /// skips the core: equal keys mean identical up to variable renaming and
-/// body-conjunct order only.
-///
-/// This is the per-query half of the [`DecisionCache`] key, exported so
-/// resident services can key *their own* caches with the same discipline
-/// (the `flqd` snapshot cache keys chase snapshots structurally, because
-/// the server substitutes [`canonical_query`] representatives up front).
+/// body-conjunct order only. On a canonical representative the two
+/// agree: `QueryKey::structural(&canonical_query(q)) == QueryKey::of(q)`.
 ///
 /// ```
 /// use flogic_core::QueryKey;
@@ -381,15 +345,25 @@ pub fn canonical_pair(
 /// // … while the structural keys (no core) see different bodies.
 /// assert_ne!(QueryKey::structural(&a), QueryKey::structural(&c));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct QueryKey(CanonQuery);
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct QueryKey {
+    hash: u64,
+    bytes: Vec<u8>,
+}
 
 impl QueryKey {
+    fn new(bytes: Vec<u8>) -> QueryKey {
+        QueryKey {
+            hash: KEY_HASHER.hash_one(&bytes),
+            bytes,
+        }
+    }
+
     /// The semantic canonical key of `q`: its classic core under the
     /// deterministic total ordering. Invariant under renaming, body
     /// permutation, and redundant-atom insertion.
     pub fn of(q: &ConjunctiveQuery) -> QueryKey {
-        QueryKey(semantic_parts(q).0)
+        QueryKey::new(Half::new(q, true, false).bytes)
     }
 
     /// The structural canonical key of `q`: the total ordering without
@@ -398,23 +372,30 @@ impl QueryKey {
     /// keyed artifact depends on the query's literal body (e.g. a chase
     /// built to a bound derived from `q`'s size).
     pub fn structural(q: &ConjunctiveQuery) -> QueryKey {
-        QueryKey(canonicalize(q))
+        QueryKey::new(Half::new(q, false, false).bytes)
     }
 }
 
-/// Cache key: a canonical pair plus a level bound, the analysis toggle
-/// and the rule-set fingerprint.
+impl Hash for QueryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The one decision key of a pair, built by [`KeyBuilder`]: the bytes
+/// `version · canon_query(q1) · canon_query(q2) · bound · analysis · sigma`
+/// of `docs/STORAGE.md`, which RAM hashes and disk stores.
 ///
-/// Two key shapes share the table, told apart by their `bound`:
+/// Two key shapes share one table, told apart by their `bound`:
 ///
-/// * **Exact, semantic** (canon on, no truncating explicit bound): `q1`
-///   and `q2` are the canonicalized *cores*, and `bound` is re-derived
-///   from the **core** sizes — so every variant with the same cores lands
-///   on one key even though the variants' own sizes (hence their own
+/// * **Exact, semantic** (canon on, no truncating explicit bound): the
+///   halves are the canonicalized *cores*, and `bound` is derived from
+///   the **core** sizes — so every variant with the same cores lands on
+///   one key even though the variants' own sizes (hence their own
 ///   Theorem 12 bounds) differ.
 /// * **Structural** (canon off, or an explicit bound below the derived
-///   one): `q1`/`q2` are the structural forms of the literal queries and
-///   `bound` is the *effective* bound `min(requested, derived)`. An
+///   one): the halves are the structural forms of the literal queries
+///   and `bound` is the *effective* bound `min(requested, derived)`. An
 ///   explicit bound below the derived one makes the procedure sound but
 ///   incomplete, so its verdicts answer a *different question* and must
 ///   never be replayed for an exact call. Clamping at the derived bound
@@ -442,75 +423,128 @@ impl QueryKey {
 /// different questions. A structurally-`Σ_FL` custom set shares the
 /// built-in set's fingerprint, so it also shares its cache entries —
 /// consistent with it sharing the built-in code paths everywhere else.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct CacheKey {
-    pub(crate) q1: CanonQuery,
-    pub(crate) q2: CanonQuery,
-    pub(crate) bound: u32,
-    pub(crate) analysis: bool,
-    pub(crate) sigma: u64,
+///
+/// The key's hash is computed once, when it is built, and [`Hash`]
+/// writes only that word, so a table doubling rehashes one word per
+/// entry. Hashing every resident key again cost ~1.5–3 µs per entry on a
+/// 2-vCPU VM: under never-repeated traffic, the request that grew the
+/// table past 14 336 entries stalled for ~60 ms.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct DecisionKey {
+    hash: u64,
+    bytes: Vec<u8>,
+    /// Where `canon_query(q1)` ends within `bytes`.
+    q1_end: usize,
 }
 
-/// The cache key a [`DecisionCache`] lookup would use for `(q1, q2)`
-/// under `opts` — exposed crate-internally so the persistence codec
-/// ([`crate::decision_key_bytes`]) serializes *exactly* the key the
-/// in-RAM tier hashes, shapes and all.
-pub(crate) fn pair_cache_key(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    opts: &ContainmentOptions,
-) -> CacheKey {
-    PairKeyer::new(opts).key(q1, q2)
-}
-
-/// Builds [`CacheKey`]s for one `q1` against one or many `q2`s, computing
-/// each canonical form of `q1` at most once (the batch path shares it
-/// across the whole batch).
-struct PairKeyer<'a> {
-    opts: &'a ContainmentOptions,
-    sigma: u64,
-    structural_q1: Option<CanonQuery>,
-    semantic_q1: Option<(CanonQuery, usize)>,
-}
-
-impl<'a> PairKeyer<'a> {
-    fn new(opts: &'a ContainmentOptions) -> PairKeyer<'a> {
-        PairKeyer {
-            opts,
-            sigma: opts.sigma.fingerprint(),
-            structural_q1: None,
-            semantic_q1: None,
+impl DecisionKey {
+    fn new(q1: &Half, q2: &Half, bound: u32, opts: &ContainmentOptions) -> DecisionKey {
+        let mut bytes = Vec::with_capacity(q1.bytes.len() + q2.bytes.len() + 14);
+        bytes.push(PERSIST_FORMAT_VERSION);
+        bytes.extend_from_slice(&q1.bytes);
+        let q1_end = bytes.len();
+        bytes.extend_from_slice(&q2.bytes);
+        put_u32(&mut bytes, bound);
+        bytes.push(opts.analysis as u8);
+        put_u64(&mut bytes, opts.sigma.fingerprint());
+        DecisionKey {
+            hash: KEY_HASHER.hash_one(&bytes),
+            bytes,
+            q1_end,
         }
     }
 
-    fn key(&mut self, q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> CacheKey {
-        let derived = derived_bound(self.opts, q1.size(), q2.size());
-        let effective = self.opts.level_bound.map_or(derived, |b| b.min(derived));
-        if self.opts.canon && effective == derived {
-            let (c1, s1) = self
-                .semantic_q1
-                .get_or_insert_with(|| semantic_parts(q1))
-                .clone();
-            let (c2, s2) = semantic_parts(q2);
-            CacheKey {
-                q1: c1,
-                q2: c2,
-                bound: derived_bound(self.opts, s1, s2),
-                analysis: self.opts.analysis,
-                sigma: self.sigma,
-            }
-        } else {
-            CacheKey {
-                q1: self
-                    .structural_q1
-                    .get_or_insert_with(|| canonicalize(q1))
-                    .clone(),
-                q2: canonicalize(q2),
-                bound: effective,
-                analysis: self.opts.analysis,
-                sigma: self.sigma,
-            }
+    /// The key's portable bytes, as the durable tier files them.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// `q1`'s half: [`QueryKey::of`]`(q1)` for a semantic key,
+    /// [`QueryKey::structural`]`(q1)` otherwise. Either way it names the
+    /// query the pair's decision chases.
+    pub fn q1(&self) -> QueryKey {
+        QueryKey::new(self.bytes[1..self.q1_end].to_vec())
+    }
+}
+
+impl Hash for DecisionKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The one key builder: turns `q1` and any number of `q2`s into
+/// [`DecisionKey`]s, canonicalizing `q1` at most once per key shape and
+/// each `q2` once.
+///
+/// ```
+/// use flogic_core::{ContainmentOptions, KeyBuilder, QueryKey};
+/// use flogic_syntax::parse_query;
+/// let opts = ContainmentOptions::default();
+/// let q1 = parse_query("q(X) :- member(X, C), sub(C, D), member(X, E).").unwrap();
+/// let q2 = parse_query("p(X) :- member(X, C).").unwrap();
+/// let mut builder = KeyBuilder::new(&q1, &opts).with_representatives();
+/// let (key, canonical) = builder.key(&q2).unwrap();
+/// let (c1, _) = canonical.expect("canonicalization is on");
+/// assert_eq!(c1.size(), 2, "the redundant member atom folds away");
+/// assert_eq!(key.q1(), QueryKey::of(&q1));
+/// ```
+pub struct KeyBuilder<'q> {
+    q1: &'q ConjunctiveQuery,
+    opts: &'q ContainmentOptions,
+    representatives: bool,
+    /// `q1`'s structural and semantic halves, each made on first use.
+    q1_halves: [Option<Half>; 2],
+}
+
+impl<'q> KeyBuilder<'q> {
+    /// A builder for `q1`'s keys under `opts`.
+    pub fn new(q1: &'q ConjunctiveQuery, opts: &'q ContainmentOptions) -> KeyBuilder<'q> {
+        KeyBuilder {
+            q1,
+            opts,
+            representatives: false,
+            q1_halves: [None, None],
         }
+    }
+
+    /// Also return each semantic key's canonical representatives, from
+    /// the same canonicalization pass.
+    pub fn with_representatives(mut self) -> KeyBuilder<'q> {
+        self.representatives = true;
+        self
+    }
+
+    /// The key of `q1 ⊆ q2`, and the representatives to decide on instead
+    /// of the pair as given ([`canonical_pair`]) when asked for and the key
+    /// is semantic. A pair of different arities gets the error
+    /// [`contains_with`] returns, and no key.
+    pub fn key(
+        &mut self,
+        q2: &ConjunctiveQuery,
+    ) -> Result<(DecisionKey, Option<(ConjunctiveQuery, ConjunctiveQuery)>), CoreError> {
+        let (q1, opts) = (self.q1, self.opts);
+        if q1.arity() != q2.arity() {
+            return Err(CoreError::ArityMismatch {
+                q1: q1.arity(),
+                q2: q2.arity(),
+            });
+        }
+        // Substituting cores is sound when canonicalization is on and the
+        // run is exact: no explicit level bound below the derived one.
+        let derived = derived_bound(opts, q1.size(), q2.size());
+        let semantic = opts.canon && opts.level_bound.map_or(true, |b| b >= derived);
+        let reps = semantic && self.representatives;
+        let h1 = self.q1_halves[usize::from(semantic)]
+            .get_or_insert_with(|| Half::new(q1, semantic, reps));
+        let h2 = Half::new(q2, semantic, reps);
+        let bound = if semantic {
+            derived_bound(opts, h1.size, h2.size)
+        } else {
+            opts.level_bound.map_or(derived, |b| b.min(derived))
+        };
+        let key = DecisionKey::new(h1, &h2, bound, opts);
+        Ok((key, h1.representative.clone().zip(h2.representative)))
     }
 }
 
@@ -538,7 +572,7 @@ impl<'a> PairKeyer<'a> {
 /// ```
 #[derive(Debug, Default)]
 pub struct DecisionCache {
-    inner: Mutex<HashMap<CacheKey, ContainmentResult>>,
+    inner: Mutex<HashMap<DecisionKey, ContainmentResult>>,
 }
 
 impl DecisionCache {
@@ -562,7 +596,7 @@ impl DecisionCache {
         self.inner.lock().expect("decision cache poisoned").clear();
     }
 
-    fn lookup(&self, key: &CacheKey) -> Option<ContainmentResult> {
+    fn lookup(&self, key: &DecisionKey) -> Option<ContainmentResult> {
         self.inner
             .lock()
             .expect("decision cache poisoned")
@@ -570,7 +604,7 @@ impl DecisionCache {
             .cloned()
     }
 
-    fn store(&self, key: CacheKey, result: &ContainmentResult) {
+    fn store(&self, key: &DecisionKey, result: &ContainmentResult) {
         // An exhausted verdict is a statement about the budget that
         // happened to govern this run, not about the pair; caching it
         // would replay "undecided" for callers with generous budgets.
@@ -580,7 +614,7 @@ impl DecisionCache {
         // The witness is expressed in the original queries' variables and
         // does not survive canonical renaming.
         self.inner.lock().expect("decision cache poisoned").insert(
-            key,
+            key.clone(),
             ContainmentResult {
                 witness: None,
                 ..*result
@@ -609,14 +643,9 @@ impl DecisionCache {
     }
 
     /// Like [`contains_with`](DecisionCache::contains_with), but a miss is
-    /// filled by `compute` instead of a fresh [`crate::contains_with`].
-    ///
-    /// This is the seam that lets a resident service stack its own reuse
-    /// layer *under* the memo table: the `flqd` server passes a closure
-    /// that decides through its byte-capped
-    /// [`ChaseSnapshot`](crate::ChaseSnapshot) cache, so a canonical-pair
-    /// hit skips everything and a miss still skips the chase when the
-    /// snapshot is warm.
+    /// filled by `compute` instead of a fresh [`crate::contains_with`]:
+    /// [`KeyBuilder`] keys the pair for the
+    /// [keyed path](DecisionCache::contains_keyed).
     ///
     /// `compute` must answer exactly the question `(q1, q2, opts)` poses —
     /// same verdict as [`crate::contains_with`] — or the table gets
@@ -629,8 +658,22 @@ impl DecisionCache {
         opts: &ContainmentOptions,
         compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
     ) -> Result<ContainmentResult, CoreError> {
-        let key = PairKeyer::new(opts).key(q1, q2);
-        if let Some(hit) = self.lookup(&key) {
+        let (key, _) = KeyBuilder::new(q1, opts).key(q2)?;
+        self.contains_keyed(&key, compute)
+    }
+
+    /// The keyed path: answers `key` from the table, or fills it with
+    /// `compute`, which must answer exactly the question `key` names.
+    /// It lets a resident service stack its own reuse layers *under* the
+    /// memo table with the key it already holds: the durable tier probes
+    /// its store under [`DecisionKey::bytes`], and `flqd` decides a miss
+    /// from chase snapshots keyed by [`DecisionKey::q1`].
+    pub fn contains_keyed(
+        &self,
+        key: &DecisionKey,
+        compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
+    ) -> Result<ContainmentResult, CoreError> {
+        if let Some(hit) = self.lookup(key) {
             return Ok(hit);
         }
         let result = compute()?;
@@ -643,48 +686,56 @@ impl DecisionCache {
     /// within-batch repeats of the same canonical pair are decided once
     /// and fanned out, and the single shared chase of `q1` is built only
     /// when at least one pair misses. `q1`'s canonical forms are computed
-    /// once for the whole batch.
+    /// once for the whole batch; pairs of different arities get their
+    /// error without being keyed.
     pub fn contains_batch(
         &self,
         q1: &ConjunctiveQuery,
         q2s: &[ConjunctiveQuery],
         opts: &ContainmentOptions,
     ) -> Vec<Result<ContainmentResult, CoreError>> {
-        let mut keyer = PairKeyer::new(opts);
+        let mut builder = KeyBuilder::new(q1, opts);
         // Per-pair effective bound, even though the shared chase is built
         // to the batch maximum: a verdict computed at a bound ≥ the
         // pair's own effective bound answers exactly the per-pair
         // question (Theorem 12 completeness).
-        let keys: Vec<CacheKey> = q2s.iter().map(|q2| keyer.key(q1, q2)).collect();
+        let keys: Vec<Result<DecisionKey, CoreError>> = q2s
+            .iter()
+            .map(|q2| builder.key(q2).map(|(key, _)| key))
+            .collect();
 
         // One representative slot per canonical pair that misses the memo
         // table; later occurrences of the same key are served from the
         // representative's computation and count as hits.
-        let mut rep: HashMap<&CacheKey, usize> = HashMap::new();
+        let mut rep: HashMap<&DecisionKey, usize> = HashMap::new();
         let mut dup_of: Vec<Option<usize>> = vec![None; q2s.len()];
         let mut out: Vec<Option<Result<ContainmentResult, CoreError>>> =
             Vec::with_capacity(q2s.len());
+        let mut missed: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            if let Some(&r) = rep.get(key) {
-                dup_of[i] = Some(r);
-                out.push(None);
-            } else if let Some(d) = self.lookup(key) {
-                out.push(Some(Ok(d)));
-            } else {
-                rep.insert(key, i);
-                out.push(None);
-            }
+            out.push(match key {
+                Err(e) => Some(Err(e.clone())),
+                Ok(key) => {
+                    if let Some(&r) = rep.get(key) {
+                        dup_of[i] = Some(r);
+                        None
+                    } else if let Some(d) = self.lookup(key) {
+                        Some(Ok(d))
+                    } else {
+                        rep.insert(key, i);
+                        missed.push(i);
+                        None
+                    }
+                }
+            });
         }
 
-        let missed: Vec<usize> = (0..q2s.len())
-            .filter(|&i| out[i].is_none() && dup_of[i].is_none())
-            .collect();
         if !missed.is_empty() {
             let missed_qs: Vec<ConjunctiveQuery> = missed.iter().map(|&i| q2s[i].clone()).collect();
             let computed = contains_batch(q1, &missed_qs, opts);
             for (&i, result) in missed.iter().zip(computed) {
-                if let Ok(r) = &result {
-                    self.store(keys[i].clone(), r);
+                if let (Ok(r), Ok(key)) = (&result, &keys[i]) {
+                    self.store(key, r);
                 }
                 out[i] = Some(result);
             }
@@ -723,16 +774,16 @@ mod tests {
     fn canonical_form_ignores_variable_names_and_atom_order() {
         let a = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
         let b = q("p(A, C) :- sub(B, C), sub(A, B).");
-        assert_eq!(canonicalize(&a), canonicalize(&b));
+        assert_eq!(QueryKey::structural(&a), QueryKey::structural(&b));
     }
 
     #[test]
     fn canonical_form_distinguishes_different_shapes() {
         let a = q("q(X) :- member(X, c1).");
         let b = q("q(X) :- member(X, c2).");
-        assert_ne!(canonicalize(&a), canonicalize(&b));
+        assert_ne!(QueryKey::structural(&a), QueryKey::structural(&b));
         let c = q("q(X) :- member(X, Y).");
-        assert_ne!(canonicalize(&a), canonicalize(&c));
+        assert_ne!(QueryKey::structural(&a), QueryKey::structural(&c));
     }
 
     #[test]
@@ -740,7 +791,7 @@ mod tests {
         // sub(X, X) is not sub(X, Y): the numbering tells them apart.
         let a = q("q() :- sub(X, X).");
         let b = q("q() :- sub(X, Y).");
-        assert_ne!(canonicalize(&a), canonicalize(&b));
+        assert_ne!(QueryKey::structural(&a), QueryKey::structural(&b));
     }
 
     #[test]
@@ -752,12 +803,12 @@ mod tests {
         // picks the least complete encoding for both.
         let a = q("q() :- sub(X, Y), sub(Y, Z).");
         let b = q("q() :- sub(B, C), sub(A, B).");
-        assert_eq!(canonicalize(&a), canonicalize(&b));
+        assert_eq!(QueryKey::structural(&a), QueryKey::structural(&b));
         // Deeper tie: two interleaved chains, emitted from whichever end
         // minimises the encoding regardless of input order.
         let c = q("r() :- sub(X, Y), sub(Y, Z), member(M, Y).");
         let d = q("r() :- sub(V2, V3), member(V4, V2), sub(V1, V2).");
-        assert_eq!(canonicalize(&c), canonicalize(&d));
+        assert_eq!(QueryKey::structural(&c), QueryKey::structural(&d));
     }
 
     #[test]
@@ -911,6 +962,16 @@ mod tests {
         };
         assert!(cache.contains_with(&q1, &q2, &generous).unwrap().holds());
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn mismatched_arities_are_rejected_before_keying() {
+        let cache = DecisionCache::new();
+        let (q1, q2) = (q("q(X) :- sub(X, Y)."), q("p(X, Y) :- sub(X, Y)."));
+        let opts = ContainmentOptions::default();
+        let r = cache.contains_with_compute(&q1, &q2, &opts, || unreachable!("no compute"));
+        assert!(matches!(r, Err(CoreError::ArityMismatch { q1: 1, q2: 2 })));
+        assert!(canonical_pair(&q1, &q2, &opts).is_none());
     }
 
     #[test]

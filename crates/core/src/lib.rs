@@ -29,16 +29,17 @@
 //! * [`DecisionCache`] — a memo table keyed by a *semantic* canonical
 //!   form of the query pair (classic core + deterministic total
 //!   ordering, so renamed, permuted and redundant-atom variants share
-//!   one entry; [`QueryKey`] exposes the per-query half of that key to
-//!   resident services, and [`canonical_query`] / [`canonical_pair`]
-//!   expose the canonical representatives themselves);
+//!   one entry). [`KeyBuilder`] is the one place a pair becomes a
+//!   [`DecisionKey`]; [`QueryKey`] is the per-query half of that key,
+//!   and [`canonical_query`] / [`canonical_pair`] expose the canonical
+//!   representatives themselves;
 //! * [`ChaseSnapshot`] — a resident, reusable chase of one `q1` so that
 //!   long-lived processes (the `flqd` server) decide repeated questions
 //!   about the same `q1` with the homomorphism search alone;
-//! * [`decision_key_bytes`] / [`encode_decision`] / [`decode_decision`]
-//!   — portable, versioned byte codecs keyed exactly like
-//!   [`DecisionCache`], for the durable decision tier (the
-//!   `flogic-store` crate; format in `docs/STORAGE.md`).
+//! * [`encode_decision`] / [`decode_decision`] — the portable, versioned
+//!   value codec of the durable decision tier (the `flogic-store` crate;
+//!   format in `docs/STORAGE.md`), whose keys are
+//!   [`DecisionKey::bytes`].
 
 mod cache;
 mod classic;
@@ -51,14 +52,16 @@ mod rewrite;
 mod snapshot;
 mod union;
 
-pub use cache::{canonical_pair, canonical_query, DecisionCache, QueryKey};
+pub use cache::{
+    canonical_pair, canonical_query, DecisionCache, DecisionKey, KeyBuilder, QueryKey,
+};
 pub use classic::classic_contains;
 pub use decide::{
     bound_from_sizes, contains, contains_batch, contains_with, theorem_bound, ContainmentOptions,
     ContainmentResult, Verdict,
 };
 pub use error::{CoreError, DecideError};
-pub use persist::{decision_key_bytes, decode_decision, encode_decision, PERSIST_FORMAT_VERSION};
+pub use persist::{decode_decision, encode_decision, PERSIST_FORMAT_VERSION};
 // Governor types, re-exported so callers can set budgets without a direct
 // dependency on the chase crate.
 pub use explain::{explain, DerivationStep, Explanation};

@@ -1,25 +1,19 @@
-//! Stable byte encodings of decision-cache keys and cached verdicts.
-//!
-//! The in-RAM [`DecisionCache`](crate::DecisionCache) hashes its keys
-//! in-process, so it can lean on [`Symbol`]'s interner ids — which are
-//! assigned in first-intern order and are therefore **not** stable
-//! across processes. A durable tier (see the `flogic-store` crate and
-//! `docs/STORAGE.md`) needs keys and values that mean the same thing
-//! after a restart, so this module defines a portable encoding:
+//! Stable byte encodings for the durable decision tier (the
+//! `flogic-store` crate, `docs/STORAGE.md`), which needs keys and values
+//! that mean the same thing after a restart:
 //!
 //! * constants and variables are serialized **by name** (length-prefixed
-//!   UTF-8), never by interner id;
-//! * predicates are serialized by their [`Pred::index`], which is fixed
+//!   UTF-8), never by [`Symbol`] interner id, which is assigned in
+//!   first-intern order and so differs across processes;
+//! * predicates are serialized by their `Pred::index`, which is fixed
 //!   by the `Σ_FL` signature and stable by construction;
 //! * canonical variables are serialized by their first-occurrence index,
 //!   which the canonicalization pass already makes deterministic;
 //! * all integers are little-endian and fixed-width.
 //!
-//! [`decision_key_bytes`] serializes *exactly* the key the in-RAM tier
-//! would hash for the same `(q1, q2, opts)` triple — both key shapes
-//! (semantic and structural, see [`crate::DecisionCache`]), the
-//! effective bound, the analysis toggle, and the Σ fingerprint — so the
-//! two tiers always agree on which question a persisted entry answers.
+//! Canonicalization writes the keys with these primitives, straight into
+//! a [`DecisionKey`](crate::DecisionKey): one representation for the
+//! in-RAM and the durable tier alike.
 //!
 //! [`encode_decision`] / [`decode_decision`] round-trip everything a
 //! cache hit restores: the three-valued [`Verdict`], the chase outcome,
@@ -36,11 +30,9 @@
 //! them. The full compatibility policy lives in `docs/STORAGE.md`.
 
 use flogic_chase::{ChaseOutcome, ExhaustReason};
-use flogic_model::ConjunctiveQuery;
 use flogic_term::{NullId, Symbol, Term};
 
-use crate::cache::{pair_cache_key, CanonQuery, CanonTerm};
-use crate::decide::{ContainmentOptions, ContainmentResult, Verdict};
+use crate::decide::{ContainmentResult, Verdict};
 
 /// Version byte leading every persisted key and value produced by this
 /// module. Bump on any layout change; decoders reject other versions.
@@ -50,11 +42,11 @@ pub const PERSIST_FORMAT_VERSION: u8 = 1;
 // Little-endian write/read helpers over plain byte vectors.
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -105,88 +97,10 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Key encoding.
-// ---------------------------------------------------------------------------
-
-fn put_canon_term(out: &mut Vec<u8>, t: &CanonTerm) {
-    match t {
-        CanonTerm::Const(s) => {
-            out.push(0);
-            put_str(out, s.as_str());
-        }
-        CanonTerm::Null(n) => {
-            out.push(1);
-            put_u64(out, *n);
-        }
-        CanonTerm::Var(v) => {
-            out.push(2);
-            put_u32(out, *v);
-        }
-    }
-}
-
-fn put_canon_query(out: &mut Vec<u8>, q: &CanonQuery) {
-    put_u32(out, q.head.len() as u32);
-    for t in &q.head {
-        put_canon_term(out, t);
-    }
-    put_u32(out, q.body.len() as u32);
-    for (pred, args) in &q.body {
-        out.push(pred.index() as u8);
-        put_u32(out, args.len() as u32);
-        for t in args {
-            put_canon_term(out, t);
-        }
-    }
-}
-
-/// The portable byte key a durable decision tier should file
-/// `(q1, q2, opts)` under.
-///
-/// This is the byte-for-byte serialization of the same [`CacheKey`]
-/// shape the in-RAM [`DecisionCache`](crate::DecisionCache) hashes —
-/// semantic (canonicalized cores + core-derived bound) when the run is
-/// exact and canonicalization is on, structural (literal queries +
-/// effective bound) otherwise — so a persisted entry is a hit exactly
-/// when the in-RAM tier would have hit, across restarts and across
-/// processes with differently-populated interners. Two calls with
-/// semantically equivalent inputs produce identical byte keys.
-///
-/// [`CacheKey`]: crate::DecisionCache
-///
-/// ```
-/// use flogic_core::{decision_key_bytes, ContainmentOptions};
-/// use flogic_syntax::parse_query;
-/// let opts = ContainmentOptions::default();
-/// let a = parse_query("q(X, Z) :- sub(X, Y), sub(Y, Z).").unwrap();
-/// let b = parse_query("p(A, C) :- sub(B, C), sub(A, B).").unwrap();
-/// let q2 = parse_query("r(X, Z) :- sub(X, Z).").unwrap();
-/// assert_eq!(
-///     decision_key_bytes(&a, &q2, &opts),
-///     decision_key_bytes(&b, &q2, &opts),
-/// );
-/// ```
-pub fn decision_key_bytes(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    opts: &ContainmentOptions,
-) -> Vec<u8> {
-    let key = pair_cache_key(q1, q2, opts);
-    let mut out = Vec::with_capacity(128);
-    out.push(PERSIST_FORMAT_VERSION);
-    put_canon_query(&mut out, &key.q1);
-    put_canon_query(&mut out, &key.q2);
-    put_u32(&mut out, key.bound);
-    out.push(key.analysis as u8);
-    put_u64(&mut out, key.sigma);
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Value encoding.
 // ---------------------------------------------------------------------------
 
-fn put_term(out: &mut Vec<u8>, t: &Term) {
+pub(crate) fn put_term(out: &mut Vec<u8>, t: &Term) {
     match t {
         Term::Const(s) => {
             out.push(0);
@@ -336,11 +250,17 @@ pub fn decode_decision(bytes: &[u8]) -> Option<ContainmentResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decide::contains_with;
+    use crate::decide::{contains_with, ContainmentOptions};
+    use crate::KeyBuilder;
+    use flogic_model::ConjunctiveQuery;
     use flogic_syntax::parse_query;
 
     fn q(s: &str) -> ConjunctiveQuery {
         parse_query(s).unwrap()
+    }
+
+    fn key(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, o: &ContainmentOptions) -> Vec<u8> {
+        KeyBuilder::new(q1, o).key(q2).unwrap().0.bytes().to_vec()
     }
 
     fn strip(r: &ContainmentResult) -> ContainmentResult {
@@ -368,18 +288,60 @@ mod tests {
         // Renamed, reordered, with a core-foldable redundant pair.
         let b = q("p(U) :- sub(K2, L2), member(U, K2), member(U, K1), sub(K1, L1).");
         let q2 = q("r(O) :- member(O, C).");
-        assert_eq!(
-            decision_key_bytes(&a, &q2, &opts),
-            decision_key_bytes(&b, &q2, &opts)
+        assert_eq!(key(&a, &q2, &opts), key(&b, &q2, &opts));
+    }
+
+    /// The exact key bytes of four pairs, recorded before canonicalization
+    /// wrote them directly: stores written then must keep answering.
+    #[test]
+    fn key_bytes_match_the_stored_layout() {
+        let section2 = (
+            q("q(A,B) :- T1[A*=>T2], T2::T3, T3[B*=>_]."),
+            q("qq(A,B) :- T1[A*=>T2], T2[B*=>_]."),
         );
+        // A constant and a core-foldable redundant pair in q1.
+        let folds = (
+            q("q(X) :- member(X, c), sub(c, D), member(X, E), sub(E, F)."),
+            q("p(Y) :- member(Y, c)."),
+        );
+        let canon_off = ContainmentOptions {
+            canon: false,
+            ..Default::default()
+        };
+        let truncated = ContainmentOptions {
+            level_bound: Some(0),
+            ..Default::default()
+        };
+        for ((q1, q2), opts, golden) in [
+            // (a) Semantic shape.
+            (&section2, ContainmentOptions::default(), "010200000002000000000201000000030000000102000000020200000002030000000303000000020300\
+            000002010000000204000000030300000002050000000200000000020200000002000000020000000002\
+            010000000200000003030000000202000000020000000002030000000303000000020300000002010000\
+            0002040000000c0000000101db828120e6f819"),
+            // (b) Semantic shape: the core's bytes, bound 2·2·1.
+            (&folds, ContainmentOptions::default(), "010100000002000000000200000000020000000200000000000100000063010200000000010000006302\
+            010000000100000002000000000100000000020000000200000000000100000063040000000101db8281\
+            20e6f819"),
+            // (c) Structural shape: literal sizes, bound 2·4·1.
+            (&folds, canon_off, "010100000002000000000400000000020000000200000000000100000063000200000002000000000201\
+            000000010200000000010000006302020000000102000000020100000002030000000100000002000000\
+            000100000000020000000200000000000100000063080000000101db828120e6f819"),
+            // (d) Truncated: structural, bound 0.
+            (&folds, truncated, "010100000002000000000400000000020000000200000000000100000063000200000002000000000201\
+            000000010200000000010000006302020000000102000000020100000002030000000100000002000000\
+            000100000000020000000200000000000100000063000000000101db828120e6f819"),
+        ] {
+            let hex: String = key(q1, q2, &opts).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden);
+        }
     }
 
     #[test]
     fn key_bytes_separate_bounds_and_toggles() {
         let a = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
         let b = q("p(X, Z) :- sub(X, Z).");
-        let base = decision_key_bytes(&a, &b, &ContainmentOptions::default());
-        let truncated = decision_key_bytes(
+        let base = key(&a, &b, &ContainmentOptions::default());
+        let truncated = key(
             &a,
             &b,
             &ContainmentOptions {
@@ -388,7 +350,7 @@ mod tests {
             },
         );
         assert_ne!(base, truncated, "truncated runs key differently");
-        let no_analysis = decision_key_bytes(
+        let no_analysis = key(
             &a,
             &b,
             &ContainmentOptions {

@@ -16,15 +16,15 @@
 //!   governor refuses work instead of letting it balloon), and
 //! * the process counters behind `GET /metrics`.
 //!
-//! A decision miss flows through both caches: the decision cache's
-//! `contains_with_compute` fills from the snapshot cache, whose
+//! [`KeyBuilder`] keys each request pair once: RAM hashes that key, disk
+//! probes its bytes, and on a double miss the snapshot cache keys `q1`'s
+//! chase by its `q1` half, whose
 //! [`ChaseSnapshot::contains`](flogic_core::ChaseSnapshot::contains)
 //! mirrors `contains_with` exactly — so verdicts are bit-identical to
 //! the `flq` CLI's, warm or cold.
 
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,8 +32,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use flogic_core::{
-    canonical_pair, canonical_query, theorem_bound, ContainmentOptions, ContainmentResult,
-    CoreError, QueryKey, Verdict,
+    theorem_bound, ContainmentOptions, ContainmentResult, CoreError, DecisionKey, KeyBuilder,
+    Verdict,
 };
 use flogic_model::ConjunctiveQuery;
 use flogic_store::DurableDecisionCache;
@@ -386,7 +386,7 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
     };
     let opts = req.opts.apply(&shared.base_opts);
     meta.span.mark("decode");
-    match decide_pair(shared, &q1, &q2, &opts, Some(meta)) {
+    match decide_pair(shared, &q1, &q2, &opts, meta) {
         Ok(result) => {
             meta.verdict = Some(verdict_name(&result));
             Response::json(200, api::verdict_json(&result))
@@ -396,79 +396,56 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
 }
 
 /// `POST /v1/contains_batch`: many pairs, verdicts in request order.
-/// Pairs that share a `q1` *semantically* share one canonical
-/// representative — and therefore one decision-cache key and one
-/// resident chase — the server-side analogue of
-/// [`contains_batch`](flogic_core::contains_batch). The grouping keys on
-/// the structural [`QueryKey`] of `q1`'s canonical representative, so
-/// renamed, permuted, or redundant variants of the same `q1` all land in
-/// one group; a raw text memo in front skips even the canonicalization
-/// for byte-identical repeats. Each reuse counts one
+/// Each distinct `q1` text gets one [`KeyBuilder`], so a repeated `q1`
+/// is canonicalized once; with canonicalization on, pairs whose `q1`s
+/// share a key half — renamed, permuted or redundant variants — share
+/// one resident chase, the server-side analogue of
+/// [`contains_batch`](flogic_core::contains_batch). Each pair whose `q1`
+/// half was already seen in the batch counts one
 /// `flqd_batch_dedup_hits_total`.
 fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Response {
     let req = match api::parse_batch(body) {
         Ok(req) => req,
         Err(e) => return e.to_response(),
     };
+    let parse = |i: usize, side: usize, text: &str| {
+        parse_wire_query(text)
+            .map_err(|e| ApiError::parse_error(format!("pairs[{i}][{side}]: {}", e.message)))
+    };
     let mut parsed = Vec::with_capacity(req.pairs.len());
     for (i, (q1, q2)) in req.pairs.iter().enumerate() {
-        let q1 = match parse_wire_query(q1) {
-            Ok(q) => q,
-            Err(e) => {
-                return ApiError::parse_error(format!("pairs[{i}][0]: {}", e.message)).to_response()
-            }
-        };
-        let q2 = match parse_wire_query(q2) {
-            Ok(q) => q,
-            Err(e) => {
-                return ApiError::parse_error(format!("pairs[{i}][1]: {}", e.message)).to_response()
-            }
-        };
-        parsed.push((q1, q2));
+        match (parse(i, 0, q1), parse(i, 1, q2)) {
+            (Ok(q1), Ok(q2)) => parsed.push((q1, q2)),
+            (Err(e), _) | (_, Err(e)) => return e.to_response(),
+        }
     }
     let opts = req.opts.apply(&shared.base_opts);
     meta.span.mark("decode");
-    // Dedup is sound exactly when the canonical substitution would run
-    // for the pair anyway: canonicalization on and no level-bound cap
-    // that could undercut the derived Theorem 12 bound (flqd requests
-    // never set one — mirrors `canonical_pair`'s own gate).
-    let dedup_ok = opts.canon && opts.level_bound.is_none();
-    let mut rep_of_text: HashMap<&str, usize> = HashMap::new();
-    let mut rep_of_key: HashMap<QueryKey, usize> = HashMap::new();
-    let mut reps: Vec<ConjunctiveQuery> = Vec::new();
+    let mut builders: HashMap<&str, KeyBuilder> = HashMap::new();
+    let mut seen_q1 = HashSet::new();
     let mut results = Vec::with_capacity(parsed.len());
-    for (i, (q1, q2)) in parsed.iter().enumerate() {
-        let out = if dedup_ok && q1.arity() == q2.arity() {
-            let raw = req.pairs[i].0.as_str();
-            let idx = if let Some(&idx) = rep_of_text.get(raw) {
-                shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                idx
-            } else {
-                let c1 = canonical(shared, q1);
-                match rep_of_key.entry(QueryKey::structural(&c1)) {
-                    Entry::Occupied(e) => {
-                        shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                        let idx = *e.get();
-                        rep_of_text.insert(raw, idx);
-                        idx
-                    }
-                    Entry::Vacant(v) => {
-                        reps.push(c1);
-                        let idx = reps.len() - 1;
-                        v.insert(idx);
-                        rep_of_text.insert(raw, idx);
-                        idx
-                    }
-                }
-            };
-            let c2 = canonical(shared, q2);
-            let mut o = opts.clone();
-            o.canon = false;
-            decide_canonical(shared, &reps[idx], &c2, &o).0
-        } else {
-            decide_pair(shared, q1, q2, &opts, None)
+    for ((text, _), (q1, q2)) in req.pairs.iter().zip(&parsed) {
+        let start = Instant::now();
+        let fresh = !builders.contains_key(text.as_str());
+        let builder = builders
+            .entry(text)
+            .or_insert_with(|| KeyBuilder::new(q1, &opts).with_representatives());
+        let (key, canonical) = match builder.key(q2) {
+            Ok(keyed) => keyed,
+            Err(e) => return api::core_error(&e).to_response(),
         };
-        match out {
+        if let Some((c1, c2)) = &canonical {
+            let reduced =
+                u64::from(fresh && c1.size() < q1.size()) + u64::from(c2.size() < q2.size());
+            shared
+                .obs
+                .record_canon(1 + u64::from(fresh), reduced, start.elapsed());
+            if !seen_q1.insert(key.q1()) {
+                shared.obs.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let pair = canonical.as_ref().map_or((q1, q2), |(c1, c2)| (c1, c2));
+        match decide_keyed(shared, &key, pair, &opts).0 {
             Ok(result) => results.push(result),
             Err(e) => return api::core_error(&e).to_response(),
         }
@@ -477,84 +454,64 @@ fn batch_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Resp
     Response::json(200, api::batch_json(&results))
 }
 
-/// The warm decision path: decision cache over snapshot cache over the
-/// Theorem 12 engine. Verdict-identical to a fresh `contains_with` (the
-/// contract both caches document).
-///
-/// With canonicalization on (the default), the pair is substituted by
-/// its semantic representatives ([`canonical_pair`]) *before* the cache
-/// stack: every syntactic variant of a pair — renamed variables,
-/// permuted conjuncts, redundant atoms — collapses to one decision-cache
-/// entry, one chase snapshot, and one consistent Theorem 12 bound
-/// (derived from the core sizes). The substituted run sets
-/// `opts.canon = false` so the decision cache keys the already-canonical
-/// inputs structurally instead of recomputing cores per lookup. Sound
-/// because classically equivalent queries answer every Σ-containment
-/// question alike; the wire format carries no witness, so canonical
-/// variable names never leak to clients.
+/// The warm decision path, verdict-identical to a fresh `contains_with`.
+/// [`KeyBuilder`] keys the pair once, rejecting different arities before
+/// any keying or chase; with canonicalization on it also returns the
+/// semantic representatives, decided instead of the pair as given, so
+/// every renamed, permuted or redundant variant shares one decision key,
+/// one chase snapshot and one Theorem 12 bound. The wire carries no
+/// witness, so their variable names never leak. The `canon` stage times
+/// the keying, the `cache` stage the tier probes.
 fn decide_pair(
     shared: &Arc<Shared>,
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     opts: &ContainmentOptions,
-    mut meta: Option<&mut ReqMeta>,
+    meta: &mut ReqMeta,
 ) -> Result<ContainmentResult, CoreError> {
     let start = Instant::now();
-    let canonical = if q1.arity() == q2.arity() {
-        canonical_pair(q1, q2, opts)
-    } else {
-        None
-    };
+    let (key, canonical) = KeyBuilder::new(q1, opts).with_representatives().key(q2)?;
     if let Some((c1, c2)) = &canonical {
         let reduced = u64::from(c1.size() < q1.size()) + u64::from(c2.size() < q2.size());
         shared.obs.record_canon(2, reduced, start.elapsed());
     }
-    if let Some(m) = meta.as_deref_mut() {
-        m.span.mark("canon");
-    }
-    let (out, computed) = match canonical {
-        Some((c1, c2)) => {
-            let mut opts = opts.clone();
-            opts.canon = false;
-            decide_canonical(shared, &c1, &c2, &opts)
+    meta.span.mark("canon");
+    let pair = canonical.as_ref().map_or((q1, q2), |(c1, c2)| (c1, c2));
+    let (out, computed) = decide_keyed(shared, &key, pair, opts);
+    match computed {
+        // The cache stage ends where compute began; everything from
+        // there to now is the decide stage.
+        Some(compute_start) => {
+            meta.span.mark_at("cache", compute_start);
+            meta.span.mark("decide");
+            meta.cache = Some("miss");
         }
-        None => decide_canonical(shared, q1, q2, opts),
-    };
-    if let Some(m) = meta {
-        match computed {
-            // The cache stage ends where compute began; everything from
-            // there to now is the decide stage.
-            Some(compute_start) => {
-                m.span.mark_at("cache", compute_start);
-                m.span.mark("decide");
-                m.cache = Some("miss");
-            }
-            None => {
-                m.span.mark("cache");
-                m.cache = Some("hit");
-            }
+        None => {
+            meta.span.mark("cache");
+            meta.cache = Some("hit");
         }
     }
     out
 }
 
-/// Runs one (already canonical, or deliberately uncanonicalized) pair
-/// through the decision cache over the snapshot cache, reporting *when*
-/// the compute closure started — `None` means the decision cache
-/// answered outright. Feeds the `flqd_decision_cache_{hits,misses}`
+/// Decides the pair `key` names — its canonical representatives, or the
+/// pair as given — through the decision tiers over the snapshot cache,
+/// reporting *when* the compute closure started: `None` means a decision
+/// tier answered outright. Feeds the `flqd_decision_cache_{hits,misses}`
 /// counters.
-fn decide_canonical(
+fn decide_keyed(
     shared: &Arc<Shared>,
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
+    key: &DecisionKey,
+    (q1, q2): (&ConjunctiveQuery, &ConjunctiveQuery),
     opts: &ContainmentOptions,
 ) -> (Result<ContainmentResult, CoreError>, Option<Instant>) {
     let compute_start = Cell::new(None);
-    let out = shared.decisions.contains_with_compute(q1, q2, opts, || {
+    let out = shared.decisions.contains_keyed(key, || {
         compute_start.set(Some(Instant::now()));
+        let bound = theorem_bound(q1, q2);
         let snapshot = shared
             .snapshots
-            .get_or_build(q1, theorem_bound(q1, q2), opts)?;
+            .get_or_build_keyed(key.q1(), q1, bound, opts)?;
         snapshot.contains(q2, opts)
     });
     let computed = compute_start.get();
@@ -565,15 +522,6 @@ fn decide_canonical(
     };
     counter.fetch_add(1, Ordering::Relaxed);
     (out, computed)
-}
-
-/// [`canonical_query`], counted on this server's `flqd_canon_*` families.
-fn canonical(shared: &Shared, q: &ConjunctiveQuery) -> ConjunctiveQuery {
-    let start = Instant::now();
-    let c = canonical_query(q);
-    let reduced = u64::from(c.size() < q.size());
-    shared.obs.record_canon(1, reduced, start.elapsed());
-    c
 }
 
 fn parse_wire_query(text: &str) -> Result<ConjunctiveQuery, ApiError> {

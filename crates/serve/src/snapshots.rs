@@ -2,14 +2,13 @@
 //!
 //! The server's warm path: every decision about a `q1` the service has
 //! seen before reuses that query's [`ChaseSnapshot`] and pays only the
-//! homomorphism search. Entries are keyed by [`QueryKey::structural`]
-//! (renaming- and body-order-invariant, no core reduction) because a
-//! snapshot's depth is derived from the keyed query's literal size.
-//! Semantic unification — renamed, permuted *and* redundant-atom
-//! variants sharing one chase — comes from the server substituting
-//! [`flogic_core::canonical_query`] representatives before it reaches
-//! this cache (see `decide_pair`), so with canonicalization on, the
-//! structural key of the representative *is* the semantic key.
+//! homomorphism search. On the server's path entries are keyed by the
+//! `q1` half of the request's decision key ([`DecisionKey::q1`], built
+//! once per request, see `decide_pair`): `q1`'s semantic key, with its
+//! canonical representative chased, so renamed, permuted *and*
+//! redundant-atom variants share one chase — or under `--no-canon`
+//! [`QueryKey::structural`], as a snapshot's depth is derived from the
+//! keyed query's literal size.
 //!
 //! Residency is capped in **bytes**, not entries, using the same
 //! `approx_bytes` accounting the chase governor's
@@ -25,6 +24,8 @@
 //!   (the same rule the `DecisionCache` applies to verdicts).
 //! * **Snapshots larger than the whole cap** — they are still *served*
 //!   (the decision completes) but not retained.
+//!
+//! [`DecisionKey::q1`]: flogic_core::DecisionKey::q1
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,7 +99,8 @@ impl SnapshotCache {
     }
 
     /// Returns a snapshot of `q1` chased to at least `bound` levels,
-    /// building (and usually retaining) one on miss.
+    /// building (and usually retaining) one on miss; keyed by
+    /// [`QueryKey::structural`]`(q1)`.
     ///
     /// A resident snapshot with a *deeper* bound than requested is a hit
     /// — Theorem 12 only needs a prefix, and a deeper chase contains it.
@@ -111,7 +113,19 @@ impl SnapshotCache {
         bound: u32,
         opts: &ContainmentOptions,
     ) -> Result<Arc<ChaseSnapshot>, CoreError> {
-        let key = QueryKey::structural(q1);
+        self.get_or_build_keyed(QueryKey::structural(q1), q1, bound, opts)
+    }
+
+    /// [`get_or_build`](SnapshotCache::get_or_build) under a key the
+    /// caller already holds: [`QueryKey::structural`]`(q1)`, or the `q1`
+    /// half of the decision key of the pair `q1` is decided in.
+    pub(crate) fn get_or_build_keyed(
+        &self,
+        key: QueryKey,
+        q1: &ConjunctiveQuery,
+        bound: u32,
+        opts: &ContainmentOptions,
+    ) -> Result<Arc<ChaseSnapshot>, CoreError> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         {
             let mut inner = self.inner.lock().expect("snapshot cache poisoned");

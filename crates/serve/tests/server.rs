@@ -243,6 +243,18 @@ fn bad_requests_get_typed_errors() {
     );
     assert_eq!(status, 400);
     assert!(body.contains("\"code\":\"arity_mismatch\""), "{body}");
+    // Rejected before keying: no decision-cache miss, no chase kept.
+    let (_, metrics) = exchange(addr, "GET", "/metrics", "");
+    assert_eq!(
+        sample(&metrics, "flqd_snapshot_resident_entries"),
+        0,
+        "{metrics}"
+    );
+    assert_eq!(
+        sample(&metrics, "flqd_decision_cache_misses_total"),
+        0,
+        "{metrics}"
+    );
 
     let (status, body) = exchange(addr, "GET", "/nope", "");
     assert_eq!(status, 404);

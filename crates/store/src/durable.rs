@@ -1,15 +1,17 @@
 //! The durable decision tier: [`DurableDecisionCache`] layers an LSM
 //! [`Store`] *under* the in-RAM [`DecisionCache`] through its
-//! `contains_with_compute` seam.
+//! `contains_keyed` seam.
 //!
+//! Both tiers take one [`DecisionKey`], built once per request by
+//! [`flogic_core::KeyBuilder`]: RAM hashes its bytes, disk stores them.
 //! Lookup order on a decision request:
 //!
 //! 1. **RAM** — the in-process [`DecisionCache`] (semantic keys, the
-//!    PR-8 hot tier). A hit never touches disk.
-//! 2. **Disk** — on a RAM miss, the persisted tier is probed under the
-//!    portable byte key ([`flogic_core::decision_key_bytes`], the exact
-//!    serialization of the RAM key). A decodable hit is returned *and*
-//!    promoted into RAM, so the second repeat is a pure RAM hit.
+//!    hot tier). A hit never touches disk.
+//! 2. **Disk** — on a RAM miss, the persisted tier is probed under
+//!    [`DecisionKey::bytes`], the bytes RAM just hashed. A decodable hit
+//!    is returned *and* promoted into RAM, so the second repeat is a
+//!    pure RAM hit.
 //! 3. **Compute** — on a double miss the caller's closure runs (in
 //!    `flqd`, the snapshot-cache-backed Theorem 12 engine); the decided
 //!    result is written to both tiers. Exhausted verdicts are written
@@ -26,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flogic_core::{
-    decision_key_bytes, decode_decision, encode_decision, ContainmentOptions, ContainmentResult,
-    CoreError, DecisionCache,
+    decode_decision, encode_decision, ContainmentOptions, ContainmentResult, CoreError,
+    DecisionCache, DecisionKey, KeyBuilder,
 };
 use flogic_model::ConjunctiveQuery;
 
@@ -133,8 +135,8 @@ impl DurableDecisionCache {
         }
     }
 
-    /// [`DecisionCache::contains_with_compute`] with the disk tier
-    /// interposed between the RAM lookup and `compute`.
+    /// [`DecisionCache::contains_with_compute`] through both tiers: keys
+    /// the pair for the [keyed path](DurableDecisionCache::contains_keyed).
     pub fn contains_with_compute(
         &self,
         q1: &ConjunctiveQuery,
@@ -142,12 +144,22 @@ impl DurableDecisionCache {
         opts: &ContainmentOptions,
         compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
     ) -> Result<ContainmentResult, CoreError> {
+        let (key, _) = KeyBuilder::new(q1, opts).key(q2)?;
+        self.contains_keyed(&key, compute)
+    }
+
+    /// [`DecisionCache::contains_keyed`] with the disk tier interposed
+    /// between the RAM lookup and `compute`.
+    pub fn contains_keyed(
+        &self,
+        key: &DecisionKey,
+        compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
+    ) -> Result<ContainmentResult, CoreError> {
         let Some(store) = &self.disk else {
-            return self.ram.contains_with_compute(q1, q2, opts, compute);
+            return self.ram.contains_keyed(key, compute);
         };
-        self.ram.contains_with_compute(q1, q2, opts, || {
-            let key = decision_key_bytes(q1, q2, opts);
-            match store.get(&key) {
+        self.ram.contains_keyed(key, || {
+            match store.get(key.bytes()) {
                 Ok(Some(bytes)) => {
                     if let Some(decision) = decode_decision(&bytes) {
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -167,7 +179,7 @@ impl DurableDecisionCache {
             }
             let result = compute()?;
             if let Some(bytes) = encode_decision(&result) {
-                if store.put(&key, &bytes).is_err() {
+                if store.put(key.bytes(), &bytes).is_err() {
                     self.disk_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }

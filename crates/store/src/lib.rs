@@ -16,10 +16,9 @@
 //!   segment set ([`manifest`]);
 //! * **background compaction** on a dedicated thread ([`Store`]);
 //! * [`DurableDecisionCache`], which layers the store *under* the
-//!   in-RAM [`DecisionCache`] through its `contains_with_compute` seam,
-//!   keyed by the portable byte keys of
-//!   [`flogic_core::decision_key_bytes`] so entries stay valid across
-//!   restarts and differently-populated interners.
+//!   in-RAM [`DecisionCache`] through its `contains_keyed` seam, keyed
+//!   by the portable bytes of [`flogic_core::DecisionKey`] so entries
+//!   stay valid across restarts and differently-populated interners.
 //!
 //! "Dependency-free" means no external crates: the CRC, bloom filter
 //! and file formats are all vendored here, same policy as the rest of

@@ -190,6 +190,12 @@ fn query_key_is_invariant_under_the_three_mutators() {
             "seed {seed}"
         );
         assert_eq!(QueryKey::of(&canonical_query(&q)), key, "seed {seed}");
+        // What lets `q1`'s key half double as the snapshot key.
+        assert_eq!(
+            QueryKey::structural(&canonical_query(&q)),
+            key,
+            "seed {seed}"
+        );
     }
 }
 
