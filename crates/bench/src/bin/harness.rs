@@ -1,4 +1,4 @@
-//! Experiment harness: regenerates every table of EXPERIMENTS.md.
+//! Experiment harness: regenerates every table of EXPERIMENTS.md (E1–E17).
 //!
 //! Usage:
 //!   cargo run -p flogic-bench --bin harness --release              # all experiments
@@ -11,7 +11,8 @@
 //! the workloads. Any other flag is an error. Tables are printed to stdout
 //! and exported as CSV under `bench_results/`. E10 additionally exports
 //! its aggregate chase profile as `bench_results/rule_profile.csv` and
-//! `bench_results/level_growth.csv`.
+//! `bench_results/level_growth.csv`. E17's full run sends 400 000
+//! requests to one in-process server and peaks near 400 MB of RSS.
 
 use std::path::PathBuf;
 
@@ -88,6 +89,13 @@ fn run(id: &str, quick: bool, threads: usize) -> Option<ExperimentOutput> {
                 experiments::e16(12, 3)
             }
         }
+        "e17" => {
+            if quick {
+                experiments::e17(1, 3_000, 256 << 10, 500)
+            } else {
+                experiments::e17(1, 400_000, 64 << 20, 5_000)
+            }
+        }
         _ => return None,
     };
     Some(out)
@@ -117,13 +125,13 @@ fn main() {
         }
     }
     if ids.is_empty() {
-        ids = (1..=16).map(|i| format!("e{i}")).collect();
+        ids = (1..=17).map(|i| format!("e{i}")).collect();
     }
 
     let dir = out_dir();
     for id in &ids {
         let Some(output) = run(id, quick, threads) else {
-            eprintln!("unknown experiment `{id}` (expected e1..e16)");
+            eprintln!("unknown experiment `{id}` (expected e1..e17)");
             std::process::exit(2);
         };
         for (i, table) in output.tables.iter().enumerate() {

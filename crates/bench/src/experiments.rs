@@ -2250,6 +2250,229 @@ pub fn e16(distinct: usize, scales: usize) -> ExperimentOutput {
 }
 
 // ---------------------------------------------------------------------------
+// E17 — soak run of flqd's resident caches under never-repeating traffic.
+// ---------------------------------------------------------------------------
+
+/// The resident set size of this process, in bytes, from
+/// `/proc/self/status` (0 where that file does not exist).
+fn rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
+}
+
+/// E17: a soak run of `flqd`'s two resident tiers under traffic that
+/// never repeats. `requests` cold questions go to one in-process server
+/// with `--cache-bytes cache_bytes`, one kept-alive client, in windows of
+/// `window` requests. Each request is an E4-mix pair whose `q1` carries
+/// a constant no other request uses (perfbench's `cold` shape), so every
+/// request misses both tiers, and once the snapshot cap is full every
+/// retained chase evicts another.
+///
+/// Per window: the client's mean and p50 latency, the server's resident
+/// snapshot bytes and entries, snapshot evictions, resident decisions,
+/// and this process's RSS (client, server and harness share it).
+/// Asserted: resident snapshot bytes never exceed the cap, every window
+/// from the first eviction on evicts, and every sampled verdict equals a
+/// local `contains_with`.
+pub fn e17(seed: u64, requests: usize, cache_bytes: usize, window: usize) -> ExperimentOutput {
+    use crate::wire;
+    use flogic_serve::{Server, ServerConfig};
+
+    let qcfg = QueryGenConfig {
+        n_atoms: 4,
+        n_vars: 4,
+        n_consts: 2,
+        ..Default::default()
+    };
+    let gcfg = GeneralizeConfig::default();
+    let opts = ContainmentOptions {
+        max_conjuncts: 50_000,
+        ..Default::default()
+    };
+    // Request r: q1 narrowed by `X : u<seed>x<r>` on its head variable,
+    // and a q2 generalized from its body, from its chase, or unrelated.
+    let pair = |r: u64| -> (String, String) {
+        let mut g = rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ r);
+        let q1 = random_query(&qcfg, &mut g);
+        let q2 = match r % 3 {
+            0 => generalize(&q1, &gcfg, &mut g),
+            1 => generalize_from_chase(&q1, &gcfg, &mut g)
+                .unwrap_or_else(|| generalize(&q1, &gcfg, &mut g)),
+            _ => Some(random_query(&qcfg, &mut g))
+                .filter(|alt| alt.arity() == q1.arity())
+                .unwrap_or_else(|| generalize(&q1, &gcfg, &mut g)),
+        };
+        let text = flogic_syntax::query_to_flogic(&q1);
+        let q1 = format!(
+            "{}, {} : u{seed}x{r}.",
+            text.trim_end_matches('.'),
+            q1.head()[0]
+        );
+        (q1, flogic_syntax::query_to_flogic(&q2))
+    };
+    let check_every = (requests / 2_000).max(8) as u64;
+
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        cache_bytes,
+        ..ServerConfig::default()
+    })
+    .expect("bind in-process server");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+    let mut client = wire::Client::connect(&addr).expect("connect");
+    let families = [
+        "flqd_snapshot_resident_bytes ",
+        "flqd_snapshot_resident_entries ",
+        "flqd_snapshot_cache_evictions_total ",
+        "flqd_decision_cache_entries ",
+    ];
+    let scrape = |addr: &str| -> [u64; 4] {
+        let (status, body) = wire::get(addr, "/metrics").expect("scrape /metrics");
+        assert_eq!(status, 200, "{body}");
+        families.map(|f| {
+            body.lines()
+                .find_map(|l| l.strip_prefix(f).and_then(|v| v.trim().parse().ok()))
+                .unwrap_or_else(|| panic!("GET /metrics has no `{f}` sample"))
+        })
+    };
+
+    let name = format!("s={seed}_n={requests}_cap={cache_bytes}");
+    let mut t = Table::new(
+        &format!("E17: soak run of the resident caches under never-repeating traffic ({name})"),
+        &[
+            "requests",
+            "mean_us",
+            "p50_us",
+            "snapshot_bytes",
+            "snapshot_entries",
+            "evictions",
+            "decision_entries",
+            "rss_mib",
+        ],
+    );
+    // Per window: (requests so far, p50, evictions, decisions, RSS).
+    let mut rows: Vec<(u64, Duration, u64, u64, u64)> = Vec::new();
+    let (mut evicted_before, mut checked) = (0u64, 0usize);
+    let mut latencies = Vec::with_capacity(window);
+    for r in 0..requests as u64 {
+        let (q1, q2) = pair(r);
+        let body = format!(
+            "{{\"q1\":{},\"q2\":{},\"max_conjuncts\":50000}}",
+            wire::json_quote(&q1),
+            wire::json_quote(&q2)
+        );
+        let t0 = Instant::now();
+        let (status, resp) = client.post("/v1/contains", &body).expect("request");
+        latencies.push(t0.elapsed());
+        assert_eq!(status, 200, "{resp}");
+        if r % check_every == 0 {
+            let parse = |text: &str| parse_query(text).expect("generated query parses");
+            let local = contains_with(&parse(&q1), &parse(&q2), &opts).expect("same arity");
+            let want = match local.verdict() {
+                flogic_core::Verdict::Holds => "holds",
+                flogic_core::Verdict::NotHolds => "not_holds",
+                flogic_core::Verdict::Exhausted(_) => "exhausted",
+            };
+            assert_eq!(
+                wire::nth_verdict(&resp, 0),
+                Some(want),
+                "request {r}: {resp}"
+            );
+            checked += 1;
+        }
+        if latencies.len() < window && r + 1 < requests as u64 {
+            continue;
+        }
+        let [bytes, entries, evictions, decisions] = scrape(&addr);
+        let rss = rss_bytes();
+        assert!(
+            bytes <= cache_bytes as u64,
+            "resident snapshot bytes {bytes} over the {cache_bytes}-byte cap"
+        );
+        let evicted = evictions - evicted_before;
+        assert!(
+            evicted > 0 || evicted_before == 0,
+            "window ending at request {}: no eviction after the cap was crossed",
+            r + 1
+        );
+        evicted_before = evictions;
+        let mean = latencies.iter().sum::<Duration>() / latencies.len() as u32;
+        latencies.sort();
+        let p50 = latencies[latencies.len() / 2];
+        latencies.clear();
+        t.push(vec![
+            (r + 1).to_string(),
+            micros(mean),
+            micros(p50),
+            bytes.to_string(),
+            entries.to_string(),
+            evicted.to_string(),
+            decisions.to_string(),
+            format!("{:.1}", rss as f64 / (1 << 20) as f64),
+        ]);
+        rows.push((r + 1, p50, evicted, decisions, rss));
+    }
+    drop(client);
+    handle.shutdown();
+    join.join().expect("server thread").expect("clean drain");
+
+    // Before and after the snapshot cap (every window from the first
+    // eviction on evicts); "both full" from the first window in which the
+    // decision tier grew by under 1% of a window.
+    let capped = rows
+        .iter()
+        .position(|w| w.2 > 0)
+        .unwrap_or_else(|| panic!("{name}: the run never filled its snapshot cap"));
+    let median = |v: &[(u64, Duration, u64, u64, u64)]| {
+        let mut p50s: Vec<Duration> = v.iter().map(|w| w.1).collect();
+        p50s.sort();
+        p50s.get(p50s.len() / 2).copied()
+    };
+    let p50_ratio = match (median(&rows[..capped]), median(&rows[capped..])) {
+        (Some(b), Some(a)) => format!(
+            "median window p50 {} us before the snapshot cap, {} us after ({:.2}x)",
+            micros(b),
+            micros(a),
+            a.as_secs_f64() / b.as_secs_f64()
+        ),
+        _ => "the snapshot cap filled within the first window".into(),
+    };
+    let plateau =
+        (1..rows.len()).find(|&i| rows[i].3.saturating_sub(rows[i - 1].3) * 100 < window as u64);
+    let slope = |from: Option<usize>| -> String {
+        match from {
+            Some(i) if i + 1 < rows.len() => {
+                let (a, b) = (&rows[i], &rows[rows.len() - 1]);
+                format!(
+                    "{:.0} B/request over requests {}..{}",
+                    (b.4 as f64 - a.4 as f64) / (b.0 - a.0) as f64,
+                    a.0,
+                    b.0
+                )
+            }
+            _ => "not reached".into(),
+        }
+    };
+    ExperimentOutput {
+        tables: vec![t],
+        notes: vec![format!(
+            "{name}: {requests} never-repeating cold requests over one kept-alive connection, \
+             windows of {window}; {checked} sampled verdicts equal contains_with. {p50_ratio}. \
+             RSS growth after the snapshot cap: {}; after the decision tier stopped growing: {}.",
+            slope(Some(capped)),
+            slope(plateau)
+        )],
+        files: vec![],
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Bounded-vs-naive comparison used by the micro-benches.
 // ---------------------------------------------------------------------------
 

@@ -22,6 +22,8 @@
 //! | E13 | Σ-admission classifier cost and derived chase bounds vs the Theorem 12 bound |
 //! | E14 | semantic (canonicalized) cache keys vs raw keys on variant-heavy traffic |
 //! | E15 | request-level observability overhead (spans + histograms + access log) and per-stage latency |
+//! | E16 | restart-warm serving from the durable decision store |
+//! | E17 | soak run of `flqd`'s byte-capped resident caches under never-repeating traffic |
 
 pub mod experiments;
 pub mod microbench;

@@ -18,6 +18,8 @@
 //! hashes those [`DecisionKey`] bytes, the durable tier (crate
 //! `flogic-store`) files them, and `flqd`'s snapshot cache keys `q1`'s
 //! chase by their `q1` half.
+//! Both of `flqd`'s RAM tiers are byte-capped LRUs of one type,
+//! [`RecencyCache`].
 //!
 //! The total ordering backtracks over tied choices and emits the
 //! lexicographically least complete encoding; for any two isomorphic
@@ -39,7 +41,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
-use std::sync::{LazyLock, Mutex};
+use std::sync::LazyLock;
 
 use flogic_hom::classic_core;
 use flogic_model::{Atom, ConjunctiveQuery};
@@ -49,6 +51,7 @@ use crate::decide::{
     contains_batch, contains_with, derived_bound, ContainmentOptions, ContainmentResult,
 };
 use crate::persist::{put_term, put_u32, put_u64, PERSIST_FORMAT_VERSION};
+use crate::recency::RecencyCache;
 use crate::CoreError;
 
 /// Ordering key for an atom *under a partial variable numbering*:
@@ -548,11 +551,19 @@ impl<'q> KeyBuilder<'q> {
     }
 }
 
+/// What [`DecisionCache`] charges one resident decision.
+fn charge(key: &DecisionKey) -> usize {
+    key.bytes().len() + size_of::<DecisionKey>() + size_of::<ContainmentResult>()
+}
+
 /// A memo table for containment decisions (see the module docs).
 ///
-/// Thread-safe (a mutex around a hash map — lookups are far cheaper than
-/// the decisions they save, so contention is not a concern). The table
-/// stores each decided [`ContainmentResult`] itself, minus its
+/// Thread-safe and byte-capped: a [`RecencyCache`] of
+/// [`CAP_BYTES`](DecisionCache::CAP_BYTES), the same least recently used
+/// policy as `flqd`'s snapshot cache, so a long-lived process keeps a
+/// bounded table under never-repeating traffic. An evicted pair is simply
+/// decided again on its next ask. The table stores each decided
+/// [`ContainmentResult`] itself, minus its
 /// [`witness`](ContainmentResult::witness), so hits carry none; ask the
 /// uncached [`crate::contains_with`] when the homomorphism itself is
 /// needed. A miss is always computed on the *original* pair, so the first
@@ -570,20 +581,34 @@ impl<'q> KeyBuilder<'q> {
 /// assert!(cache.contains(&q1r, &q2).unwrap().holds());
 /// assert_eq!(cache.len(), 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DecisionCache {
-    inner: Mutex<HashMap<DecisionKey, ContainmentResult>>,
+    inner: RecencyCache<DecisionKey, ContainmentResult>,
+}
+
+impl Default for DecisionCache {
+    fn default() -> DecisionCache {
+        DecisionCache::new()
+    }
 }
 
 impl DecisionCache {
-    /// Creates an empty cache.
+    /// The byte cap of every decision table: 64 MiB, the default of
+    /// `flqd --cache-bytes`. Each decision is charged its key bytes plus
+    /// the fixed sizes of [`DecisionKey`] and [`ContainmentResult`] — an
+    /// estimate that leaves out the table's own per-entry overhead.
+    pub const CAP_BYTES: usize = 64 << 20;
+
+    /// Creates an empty cache capped at [`CAP_BYTES`](DecisionCache::CAP_BYTES).
     pub fn new() -> DecisionCache {
-        DecisionCache::default()
+        DecisionCache {
+            inner: RecencyCache::new(DecisionCache::CAP_BYTES),
+        }
     }
 
     /// Number of cached decisions.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("decision cache poisoned").len()
+        self.inner.stats().resident_entries as usize
     }
 
     /// True when nothing has been cached yet.
@@ -591,34 +616,24 @@ impl DecisionCache {
         self.len() == 0
     }
 
-    /// Drops every cached decision.
-    pub fn clear(&self) {
-        self.inner.lock().expect("decision cache poisoned").clear();
-    }
-
     fn lookup(&self, key: &DecisionKey) -> Option<ContainmentResult> {
-        self.inner
-            .lock()
-            .expect("decision cache poisoned")
-            .get(key)
-            .cloned()
+        self.inner.get(key, |_| true)
     }
 
     fn store(&self, key: &DecisionKey, result: &ContainmentResult) {
-        // An exhausted verdict is a statement about the budget that
-        // happened to govern this run, not about the pair; caching it
-        // would replay "undecided" for callers with generous budgets.
-        if result.is_exhausted() {
-            return;
-        }
         // The witness is expressed in the original queries' variables and
-        // does not survive canonical renaming.
-        self.inner.lock().expect("decision cache poisoned").insert(
+        // does not survive canonical renaming. An exhausted verdict is a
+        // statement about the budget that happened to govern this run,
+        // not about the pair; caching it would replay "undecided" for
+        // callers with generous budgets.
+        self.inner.insert(
             key.clone(),
             ContainmentResult {
                 witness: None,
                 ..*result
             },
+            charge(key),
+            !result.is_exhausted(),
         );
     }
 
@@ -768,6 +783,14 @@ mod tests {
 
     fn q(s: &str) -> ConjunctiveQuery {
         parse_query(s).unwrap()
+    }
+
+    impl DecisionCache {
+        fn with_cap(cap_bytes: usize) -> DecisionCache {
+            DecisionCache {
+                inner: RecencyCache::new(cap_bytes),
+            }
+        }
     }
 
     #[test]
@@ -996,6 +1019,50 @@ mod tests {
         assert!(matches!(results[2], Err(CoreError::ArityMismatch { .. })));
         // Hit + two computed entries (errors are not cached).
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn byte_cap_evicts_the_least_recently_used_decision() {
+        let opts = ContainmentOptions::default();
+        // Keys of one byte length, so each decision is charged alike.
+        let q1s: Vec<ConjunctiveQuery> = (10..30)
+            .map(|c| {
+                q(&format!(
+                    "q(X, Z) :- sub(X, Y), sub(Y, Z), member(X, c{c})."
+                ))
+            })
+            .collect();
+        let q2 = q("p(X, Z) :- sub(X, Z).");
+        let (key, _) = KeyBuilder::new(&q1s[0], &opts).key(&q2).unwrap();
+        let cache = DecisionCache::with_cap(3 * charge(&key));
+        let computes = std::cell::Cell::new(0);
+        let ask = |i: usize| {
+            cache
+                .contains_with_compute(&q1s[i], &q2, &opts, || {
+                    computes.set(computes.get() + 1);
+                    contains_with(&q1s[i], &q2, &opts)
+                })
+                .unwrap()
+        };
+        let first: Vec<ContainmentResult> = (0..3).map(ask).collect();
+        assert_eq!((cache.len(), computes.get()), (3, 3));
+        ask(0); // a hit refreshes pair 0
+        ask(3); // evicts pair 1, now the least recently used
+        assert_eq!((cache.len(), computes.get()), (3, 4));
+        ask(0);
+        ask(2);
+        assert_eq!(computes.get(), 4, "pairs 0 and 2 stayed resident");
+        // The evicted pair is decided again, and answers as before.
+        let again = ask(1);
+        assert_eq!(computes.get(), 5, "pair 1 was evicted");
+        assert_eq!(again.verdict(), first[1].verdict());
+        assert_eq!(again.level_bound(), first[1].level_bound());
+        assert_eq!(again.chase_conjuncts(), first[1].chase_conjuncts());
+        assert_eq!(again.max_chase_level(), first[1].max_chase_level());
+        for i in 4..q1s.len() {
+            ask(i);
+            assert_eq!(cache.len(), 3, "the table stays within its cap");
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   syntax;
 //! * [`contains_batch`] — decides one `q1` against many candidate
 //!   containers, sharing a single chase of `q1`;
-//! * [`DecisionCache`] — a memo table keyed by a *semantic* canonical
-//!   form of the query pair (classic core + deterministic total
+//! * [`DecisionCache`] — a byte-capped memo table keyed by a *semantic*
+//!   canonical form of the query pair (classic core + deterministic total
 //!   ordering, so renamed, permuted and redundant-atom variants share
 //!   one entry). [`KeyBuilder`] is the one place a pair becomes a
 //!   [`DecisionKey`]; [`QueryKey`] is the per-query half of that key,
@@ -36,6 +36,8 @@
 //! * [`ChaseSnapshot`] — a resident, reusable chase of one `q1` so that
 //!   long-lived processes (the `flqd` server) decide repeated questions
 //!   about the same `q1` with the homomorphism search alone;
+//! * [`RecencyCache`] — the byte-capped LRU under both of `flqd`'s RAM
+//!   tiers: the decision table and the snapshot cache;
 //! * [`encode_decision`] / [`decode_decision`] — the portable, versioned
 //!   value codec of the durable decision tier (the `flogic-store` crate;
 //!   format in `docs/STORAGE.md`), whose keys are
@@ -48,6 +50,7 @@ mod error;
 mod explain;
 pub mod naive;
 mod persist;
+mod recency;
 mod rewrite;
 mod snapshot;
 mod union;
@@ -62,6 +65,7 @@ pub use decide::{
 };
 pub use error::{CoreError, DecideError};
 pub use persist::{decode_decision, encode_decision, PERSIST_FORMAT_VERSION};
+pub use recency::{RecencyCache, RecencyStats};
 // Governor types, re-exported so callers can set budgets without a direct
 // dependency on the chase crate.
 pub use explain::{explain, DerivationStep, Explanation};

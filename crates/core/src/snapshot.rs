@@ -4,7 +4,9 @@
 //! A [`ChaseSnapshot`] is one chase of `q1` as a first-class value.
 //! [`contains_batch`](crate::contains_batch) builds one per call and
 //! decides every candidate against it; the containment server (`flqd`,
-//! crate `flogic-serve`) keeps a byte-capped LRU of them so that repeated
+//! crate `flogic-serve`) keeps a [`RecencyCache`](crate::RecencyCache)
+//! of them, capped at `--cache-bytes` and charged
+//! [`approx_bytes`](ChaseSnapshot::approx_bytes) each, so that repeated
 //! questions about the same `q1` skip straight to the homomorphism
 //! search.
 //!

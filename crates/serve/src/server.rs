@@ -62,7 +62,9 @@ pub struct ServerConfig {
     /// Bounded dispatch-queue depth (`--queue-cap`); requests arriving
     /// while the queue is full are answered `503` with `Retry-After`.
     pub queue_depth: usize,
-    /// Byte cap of the resident chase-snapshot cache (`--cache-bytes`).
+    /// Byte cap of the resident chase-snapshot cache (`--cache-bytes`), in
+    /// `ChaseSnapshot::approx_bytes` charges; the decision tier's cap is
+    /// the constant [`flogic_core::DecisionCache::CAP_BYTES`].
     pub cache_bytes: usize,
     /// Cap on request bodies (`--max-body-bytes`).
     pub max_body_bytes: usize,
@@ -646,7 +648,7 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> String {
         &mut s,
         "flqd_snapshot_cap_bytes",
         "gauge",
-        shared.snapshots.cap_bytes() as u64,
+        shared.config.cache_bytes as u64,
     );
     simple(
         &mut s,

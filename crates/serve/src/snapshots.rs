@@ -1,4 +1,6 @@
-//! A byte-capped, process-resident LRU cache of chase snapshots.
+//! A byte-capped, process-resident LRU cache of chase snapshots: a
+//! [`RecencyCache`], the type the decision tier also uses, capped at
+//! `--cache-bytes`.
 //!
 //! The server's warm path: every decision about a `q1` the service has
 //! seen before reuses that query's [`ChaseSnapshot`] and pays only the
@@ -10,12 +12,11 @@
 //! [`QueryKey::structural`], as a snapshot's depth is derived from the
 //! keyed query's literal size.
 //!
-//! Residency is capped in **bytes**, not entries, using the same
-//! `approx_bytes` accounting the chase governor's
+//! Each snapshot is charged its [`ChaseSnapshot::approx_bytes`], the
+//! estimate the chase governor's
 //! [`Budget::bytes`](flogic_core::Budget::bytes) cap charges against.
-//! Two snapshots of wildly different sizes are charged what they
-//! actually hold, and the server's RSS contribution from warm chases
-//! stays bounded by configuration.
+//! It under-counts: bench E17 measured ~3.4 bytes of RSS per charged
+//! byte, so resident snapshots take about 3.4× `--cache-bytes`.
 //!
 //! Two kinds of snapshot are never cached:
 //!
@@ -27,75 +28,24 @@
 //!
 //! [`DecisionKey::q1`]: flogic_core::DecisionKey::q1
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use flogic_core::{ChaseSnapshot, ContainmentOptions, CoreError, QueryKey};
+use flogic_core::{
+    ChaseSnapshot, ContainmentOptions, CoreError, QueryKey, RecencyCache, RecencyStats,
+};
 use flogic_model::ConjunctiveQuery;
 
-/// Running statistics of a [`SnapshotCache`], all monotonic except
-/// `resident_bytes`/`resident_entries`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SnapshotCacheStats {
-    /// Lookups answered by a resident snapshot of sufficient depth.
-    pub hits: u64,
-    /// Lookups that had to build (no entry, or an entry too shallow).
-    pub misses: u64,
-    /// Entries evicted to stay under the byte cap.
-    pub evictions: u64,
-    /// Builds discarded instead of cached (exhausted, or over-cap).
-    pub uncacheable: u64,
-    /// Bytes currently resident.
-    pub resident_bytes: u64,
-    /// Entries currently resident.
-    pub resident_entries: u64,
-}
-
-struct Entry {
-    snapshot: Arc<ChaseSnapshot>,
-    bytes: usize,
-    last_used: u64,
-}
-
-struct Inner {
-    map: HashMap<QueryKey, Entry>,
-    bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    uncacheable: u64,
-}
-
-/// The cache itself. Shared across workers behind one mutex: the held
-/// section only moves `Arc`s and counters around — chase building and
-/// hom search happen outside the lock.
+/// The cache itself. Chase building and hom search run outside its lock.
 pub struct SnapshotCache {
-    cap_bytes: usize,
-    tick: AtomicU64,
-    inner: Mutex<Inner>,
+    inner: RecencyCache<QueryKey, Arc<ChaseSnapshot>>,
 }
 
 impl SnapshotCache {
     /// Creates a cache holding at most `cap_bytes` of snapshots.
     pub fn new(cap_bytes: usize) -> SnapshotCache {
         SnapshotCache {
-            cap_bytes,
-            tick: AtomicU64::new(0),
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                bytes: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                uncacheable: 0,
-            }),
+            inner: RecencyCache::new(cap_bytes),
         }
-    }
-
-    /// The configured byte cap.
-    pub fn cap_bytes(&self) -> usize {
-        self.cap_bytes
     }
 
     /// Returns a snapshot of `q1` chased to at least `bound` levels,
@@ -126,76 +76,21 @@ impl SnapshotCache {
         bound: u32,
         opts: &ContainmentOptions,
     ) -> Result<Arc<ChaseSnapshot>, CoreError> {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner = self.inner.lock().expect("snapshot cache poisoned");
-            if let Some(entry) = inner.map.get_mut(&key) {
-                if entry.snapshot.level_bound() >= bound {
-                    entry.last_used = now;
-                    let snapshot = Arc::clone(&entry.snapshot);
-                    inner.hits += 1;
-                    return Ok(snapshot);
-                }
-            }
-            inner.misses += 1;
+        if let Some(hit) = self.inner.get(&key, |s| s.level_bound() >= bound) {
+            return Ok(hit);
         }
-        // Build outside the lock: other workers keep serving hits (and
-        // may race to build the same q1 — both builds are correct, and
-        // the second insert simply replaces the first).
+        // Other workers may race to build the same q1: both builds are
+        // correct, and the second insert replaces the first. A refused
+        // build also drops the resident entry, too shallow to serve.
         let snapshot = Arc::new(ChaseSnapshot::build(q1, bound, opts)?);
-        let bytes = snapshot.approx_bytes();
-        let mut inner = self.inner.lock().expect("snapshot cache poisoned");
-        if snapshot.is_exhausted() || bytes > self.cap_bytes {
-            inner.uncacheable += 1;
-            // The rebuild was triggered because any resident entry is too
-            // shallow for the depths now being requested: it burns cap
-            // bytes but can never serve them, so drop it rather than
-            // letting it sit until LRU pressure gets around to it.
-            if let Some(stale) = inner.map.remove(&key) {
-                inner.bytes -= stale.bytes;
-                inner.evictions += 1;
-            }
-            return Ok(snapshot);
-        }
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        inner.map.insert(
-            key,
-            Entry {
-                snapshot: Arc::clone(&snapshot),
-                bytes,
-                last_used: now,
-            },
-        );
-        while inner.bytes > self.cap_bytes {
-            let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let evicted = inner.map.remove(&oldest).expect("key just observed");
-            inner.bytes -= evicted.bytes;
-            inner.evictions += 1;
-        }
+        let (bytes, keep) = (snapshot.approx_bytes(), !snapshot.is_exhausted());
+        self.inner.insert(key, Arc::clone(&snapshot), bytes, keep);
         Ok(snapshot)
     }
 
     /// Current statistics.
-    pub fn stats(&self) -> SnapshotCacheStats {
-        let inner = self.inner.lock().expect("snapshot cache poisoned");
-        SnapshotCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            uncacheable: inner.uncacheable,
-            resident_bytes: inner.bytes as u64,
-            resident_entries: inner.map.len() as u64,
-        }
+    pub fn stats(&self) -> RecencyStats {
+        self.inner.stats()
     }
 }
 

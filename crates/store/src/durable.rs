@@ -7,14 +7,15 @@
 //! Lookup order on a decision request:
 //!
 //! 1. **RAM** — the in-process [`DecisionCache`] (semantic keys, the
-//!    hot tier). A hit never touches disk.
+//!    hot tier, a byte-capped LRU). A hit never touches disk.
 //! 2. **Disk** — on a RAM miss, the persisted tier is probed under
 //!    [`DecisionKey::bytes`], the bytes RAM just hashed. A decodable hit
 //!    is returned *and* promoted into RAM, so the second repeat is a
 //!    pure RAM hit.
 //! 3. **Compute** — on a double miss the caller's closure runs (in
 //!    `flqd`, the snapshot-cache-backed Theorem 12 engine); the decided
-//!    result is written to both tiers. Exhausted verdicts are written
+//!    result is written to both tiers, so a RAM eviction costs at most
+//!    a disk probe, never a recompute. Exhausted verdicts are written
 //!    to neither (the codec refuses them), and a corrupt or
 //!    version-skewed disk record reads as a miss — a recomputation,
 //!    never a wrong answer.
@@ -64,36 +65,24 @@ impl DurableDecisionCache {
     /// A RAM-only cache (no `--data-dir`): behaves exactly like a bare
     /// [`DecisionCache`].
     pub fn memory() -> DurableDecisionCache {
-        DurableDecisionCache {
-            ram: DecisionCache::new(),
-            disk: None,
-            disk_hits: AtomicU64::new(0),
-            disk_misses: AtomicU64::new(0),
-            disk_errors: AtomicU64::new(0),
-        }
+        DurableDecisionCache::over(None)
     }
 
     /// Opens (or creates) the durable tier under `dir` with default
     /// [`StoreOptions`].
     pub fn open(dir: &Path) -> Result<DurableDecisionCache, StoreError> {
-        DurableDecisionCache::open_with(dir, StoreOptions::default())
+        let store = Store::open(dir, StoreOptions::default())?;
+        Ok(DurableDecisionCache::over(Some(Arc::new(store))))
     }
 
-    /// Opens (or creates) the durable tier under `dir`.
-    pub fn open_with(dir: &Path, opts: StoreOptions) -> Result<DurableDecisionCache, StoreError> {
-        let store = Store::open(dir, opts)?;
-        Ok(DurableDecisionCache {
+    fn over(disk: Option<Arc<Store>>) -> DurableDecisionCache {
+        DurableDecisionCache {
             ram: DecisionCache::new(),
-            disk: Some(Arc::new(store)),
+            disk,
             disk_hits: AtomicU64::new(0),
             disk_misses: AtomicU64::new(0),
             disk_errors: AtomicU64::new(0),
-        })
-    }
-
-    /// The in-RAM hot tier.
-    pub fn ram(&self) -> &DecisionCache {
-        &self.ram
+        }
     }
 
     /// The on-disk tier, when one is attached.
@@ -109,12 +98,6 @@ impl DurableDecisionCache {
     /// True when the RAM tier is empty.
     pub fn is_empty(&self) -> bool {
         self.ram.is_empty()
-    }
-
-    /// Drops the RAM tier's entries (the disk tier is unaffected — it
-    /// will re-warm RAM on the next probes).
-    pub fn clear_ram(&self) {
-        self.ram.clear();
     }
 
     /// The durable tier's own traffic counters.

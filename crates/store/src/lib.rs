@@ -1,8 +1,9 @@
 //! A dependency-free LSM store for durable containment decisions.
 //!
 //! `flqd`'s warm caches (the semantic [`DecisionCache`] and the
-//! byte-capped chase-snapshot LRU) are process-resident: every restart
-//! is a full cold start, and capacity is bounded by RAM. This crate
+//! chase-snapshot cache, two byte-capped LRUs of one type) are
+//! process-resident: every restart is a full cold start, and an
+//! evicted decision is gone. This crate
 //! adds the missing tier — a small log-structured merge store with the
 //! classic shape:
 //!
