@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use flogic_bench::promstats::{diff_stages, scrape_server_stats, ServerStats};
 use flogic_bench::wire;
-use flogic_core::{contains_with, ContainmentOptions, Verdict};
+use flogic_core::{contains_with, ContainmentOptions};
 use flogic_gen::rng::SplitMix64;
 use flogic_gen::{generalize, mutate_variant, random_query, GeneralizeConfig, QueryGenConfig};
 use flogic_model::ConjunctiveQuery;
@@ -210,16 +210,6 @@ fn workload(pairs: usize, variants: usize, seed: u64) -> Vec<(ConjunctiveQuery, 
         }
     }
     all
-}
-
-/// The wire name of a locally computed verdict (matching
-/// `flogic-serve`'s encoding).
-fn local_verdict_name(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Holds => "holds",
-        Verdict::NotHolds => "not_holds",
-        Verdict::Exhausted(_) => "exhausted",
-    }
 }
 
 /// The request body (and path) for measured request number `r`:
@@ -424,11 +414,10 @@ fn main() -> ExitCode {
         pairs
             .iter()
             .map(|(q1, q2)| {
-                local_verdict_name(
-                    contains_with(q1, q2, &opts)
-                        .expect("generated pairs decide without errors")
-                        .verdict(),
-                )
+                contains_with(q1, q2, &opts)
+                    .expect("generated pairs decide without errors")
+                    .verdict()
+                    .wire_name()
             })
             .collect()
     } else {

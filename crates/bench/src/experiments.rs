@@ -23,6 +23,7 @@ use flogic_model::{Atom, ConjunctiveQuery, Pred, RuleId, RuleSet, SIGMA_RULE_COU
 use flogic_syntax::parse_query;
 use flogic_term::{Subst, Symbol, Term};
 
+use crate::promstats::scrape_samples;
 use crate::Table;
 
 /// Output of one experiment: tables plus free-form notes/artifacts.
@@ -1703,19 +1704,6 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
             wire::json_quote(q2)
         )
     };
-    // One counter line of the GET /metrics body (keys carry a trailing
-    // space so a family never matches a longer name). A missing family is
-    // a renamed or dropped metric, not a zero.
-    let scrape = |addr: &str, key: &str| -> u64 {
-        let (status, body) = wire::get(addr, "/metrics").expect("metrics");
-        assert_eq!(status, 200, "{body}");
-        body.lines()
-            .find_map(|l| {
-                l.strip_prefix(key)
-                    .and_then(|rest| rest.trim().parse().ok())
-            })
-            .unwrap_or_else(|| panic!("GET /metrics has no `{key}` sample"))
-    };
     let pct = |hits: u64, misses: u64| -> f64 {
         if hits + misses == 0 {
             0.0
@@ -1764,28 +1752,31 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
         }
         // This server's decision-cache and canonicalization counters.
         let families = [
-            "flqd_decision_cache_hits_total ",
-            "flqd_decision_cache_misses_total ",
-            "flqd_canon_keys_total ",
+            "flqd_decision_cache_hits_total",
+            "flqd_decision_cache_misses_total",
+            "flqd_canon_keys_total",
         ];
-        let before = families.map(|f| scrape(&addr, f));
+        let before = scrape_samples(&addr, families);
         let mut latencies: Vec<Duration> = variant_texts
             .iter()
             .map(|(q1, q2)| post(&mut client, q1, q2))
             .collect();
-        let after = families.map(|f| scrape(&addr, f));
+        let after = scrape_samples(&addr, families);
         let [decision_hits, decision_misses, canon_keys]: [u64; 3] =
             std::array::from_fn(|i| after[i] - before[i]);
         latencies.sort();
         let p50 = latencies[latencies.len() / 2];
 
-        let h0 = scrape(&addr, "flqd_snapshot_cache_hits_total ");
-        let s0 = scrape(&addr, "flqd_snapshot_cache_misses_total ");
+        let snapshot_families = [
+            "flqd_snapshot_cache_hits_total",
+            "flqd_snapshot_cache_misses_total",
+        ];
+        let [h0, s0] = scrape_samples(&addr, snapshot_families);
         for (q1, q2) in &fresh_texts {
             post(&mut client, q1, q2);
         }
-        let snap_hits = scrape(&addr, "flqd_snapshot_cache_hits_total ") - h0;
-        let snap_misses = scrape(&addr, "flqd_snapshot_cache_misses_total ") - s0;
+        let [h1, s1] = scrape_samples(&addr, snapshot_families);
+        let (snap_hits, snap_misses) = (h1 - h0, s1 - s0);
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
 
@@ -1859,7 +1850,9 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
 ///    / pipelined clients against fresh servers; the server's own
 ///    `flqd_stage_duration_nanoseconds` histograms are scraped before
 ///    and after the measured phase and diffed ([`crate::promstats`]),
-///    so the p50/p99 per stage cover exactly the measured window.
+///    so the mean/p50/p99 per stage cover exactly the measured window.
+///    The mean comes from the exact `_sum`; a p50 is interpolated inside
+///    a log2 bucket, so it is only good to a factor of two.
 /// 3. **batch dedup** — one `POST /v1/contains_batch` carrying several
 ///    mutated respellings of every base `q1`: the server's canonical
 ///    dedup must fold them, observable as `flqd_batch_dedup_hits_total`.
@@ -1912,7 +1905,7 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
 
     let mut t = Table::new(
         "E15: observability overhead and per-stage latency (warm requests, in-process flqd)",
-        &["mode", "stage", "count", "p50_us", "p99_us"],
+        &["mode", "stage", "count", "mean_us", "p50_us", "p99_us"],
     );
 
     // 1. Overhead A/B: warm keep-alive total latency, access log off/on.
@@ -1938,6 +1931,7 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
         latencies.sort();
         total_p50[slot] = latencies[latencies.len() / 2];
         let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
+        let mean = latencies.iter().sum::<Duration>() / requests as u32;
         drop(client);
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
@@ -1950,6 +1944,7 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
             .into(),
             "total".into(),
             requests.to_string(),
+            micros(mean),
             micros(total_p50[slot]),
             micros(p99),
         ]);
@@ -2017,6 +2012,7 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
                 mode.into(),
                 stage.into(),
                 diff.count.to_string(),
+                format!("{:.1}", diff.sum as f64 / diff.count.max(1) as f64 / 1e3),
                 format!("{:.1}", diff.p50() as f64 / 1e3),
                 format!("{:.1}", diff.p99() as f64 / 1e3),
             ]);
@@ -2047,12 +2043,7 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
     );
     let (status, resp) = wire::post(&addr, "/v1/contains_batch", &batch_body).expect("batch");
     assert_eq!(status, 200, "{resp}");
-    let (_, metrics) = wire::get(&addr, "/metrics").expect("metrics");
-    let dedup_hits: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("flqd_batch_dedup_hits_total "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
+    let [dedup_hits] = scrape_samples(&addr, ["flqd_batch_dedup_hits_total"]);
     handle.shutdown();
     join.join().expect("server thread").expect("clean drain");
     // 4 spellings per base, so 3 foldable respellings each. Mutation can
@@ -2065,6 +2056,7 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
         "batch".into(),
         "dedup_hits".into(),
         dedup_hits.to_string(),
+        "0".into(),
         "0".into(),
         "0".into(),
     ]);
@@ -2122,13 +2114,6 @@ pub fn e16(distinct: usize, scales: usize) -> ExperimentOutput {
         let handle = server.handle();
         let join = std::thread::spawn(move || server.run());
         (addr, handle, join, open)
-    };
-    let metric = |addr: &str, name: &str| -> u64 {
-        let (status, body) = wire::get(addr, "/metrics").expect("scrape /metrics");
-        assert_eq!(status, 200);
-        body.lines()
-            .find_map(|l| l.strip_prefix(name).and_then(|r| r.trim().parse().ok()))
-            .unwrap_or(0)
     };
     let percentiles = |mut lat: Vec<Duration>| {
         lat.sort();
@@ -2199,7 +2184,7 @@ pub fn e16(distinct: usize, scales: usize) -> ExperimentOutput {
                 "pair {i}: disk-warm answer differs from the cold one"
             );
         }
-        let disk_hits = metric(&addr, "flqd_store_disk_hits_total");
+        let [disk_hits] = scrape_samples(&addr, ["flqd_store_disk_hits_total"]);
         drop(client);
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
@@ -2327,20 +2312,11 @@ pub fn e17(seed: u64, requests: usize, cache_bytes: usize, window: usize) -> Exp
     let join = std::thread::spawn(move || server.run());
     let mut client = wire::Client::connect(&addr).expect("connect");
     let families = [
-        "flqd_snapshot_resident_bytes ",
-        "flqd_snapshot_resident_entries ",
-        "flqd_snapshot_cache_evictions_total ",
-        "flqd_decision_cache_entries ",
+        "flqd_snapshot_resident_bytes",
+        "flqd_snapshot_resident_entries",
+        "flqd_snapshot_cache_evictions_total",
+        "flqd_decision_cache_entries",
     ];
-    let scrape = |addr: &str| -> [u64; 4] {
-        let (status, body) = wire::get(addr, "/metrics").expect("scrape /metrics");
-        assert_eq!(status, 200, "{body}");
-        families.map(|f| {
-            body.lines()
-                .find_map(|l| l.strip_prefix(f).and_then(|v| v.trim().parse().ok()))
-                .unwrap_or_else(|| panic!("GET /metrics has no `{f}` sample"))
-        })
-    };
 
     let name = format!("s={seed}_n={requests}_cap={cache_bytes}");
     let mut t = Table::new(
@@ -2374,14 +2350,9 @@ pub fn e17(seed: u64, requests: usize, cache_bytes: usize, window: usize) -> Exp
         if r % check_every == 0 {
             let parse = |text: &str| parse_query(text).expect("generated query parses");
             let local = contains_with(&parse(&q1), &parse(&q2), &opts).expect("same arity");
-            let want = match local.verdict() {
-                flogic_core::Verdict::Holds => "holds",
-                flogic_core::Verdict::NotHolds => "not_holds",
-                flogic_core::Verdict::Exhausted(_) => "exhausted",
-            };
             assert_eq!(
                 wire::nth_verdict(&resp, 0),
-                Some(want),
+                Some(local.verdict().wire_name()),
                 "request {r}: {resp}"
             );
             checked += 1;
@@ -2389,7 +2360,7 @@ pub fn e17(seed: u64, requests: usize, cache_bytes: usize, window: usize) -> Exp
         if latencies.len() < window && r + 1 < requests as u64 {
             continue;
         }
-        let [bytes, entries, evictions, decisions] = scrape(&addr);
+        let [bytes, entries, evictions, decisions] = scrape_samples(&addr, families);
         let rss = rss_bytes();
         assert!(
             bytes <= cache_bytes as u64,

@@ -81,6 +81,26 @@ pub fn parse_server_stats(body: &str) -> Result<ServerStats, String> {
     })
 }
 
+/// The unlabeled samples of `families`, in order, from one `GET /metrics`
+/// of the server at `addr`. Panics when the scrape fails or a family has
+/// no sample line: a renamed or dropped metric must fail an experiment,
+/// not read as zero.
+pub fn scrape_samples<const N: usize>(addr: &str, families: [&str; N]) -> [u64; N] {
+    let (status, body) = wire::get(addr, "/metrics").expect("scrape /metrics");
+    assert_eq!(status, 200, "{body}");
+    families.map(|family| {
+        body.lines()
+            .find_map(|l| {
+                l.strip_prefix(family)?
+                    .strip_prefix(' ')?
+                    .trim()
+                    .parse()
+                    .ok()
+            })
+            .unwrap_or_else(|| panic!("GET /metrics has no `{family}` sample"))
+    })
+}
+
 /// The histogram of what happened *between* two scrapes; `max` is
 /// approximated by the upper bound of the highest bucket the window
 /// touched (the server only exposes its lifetime max).

@@ -39,19 +39,19 @@
 //! their verdicts answer a bound-dependent question about the literal
 //! query, not its core, and must never be replayed across bounds.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::LazyLock;
 
-use flogic_hom::classic_core;
+use flogic_hom::{classic_core, HomStats};
 use flogic_model::{Atom, ConjunctiveQuery};
 use flogic_term::{Symbol, Term};
 
-use crate::decide::{
-    contains_batch, contains_with, derived_bound, ContainmentOptions, ContainmentResult,
-};
+use crate::decide::{contains_with, derived_bound, ContainmentOptions, ContainmentResult};
 use crate::persist::{put_term, put_u32, put_u64, PERSIST_FORMAT_VERSION};
 use crate::recency::RecencyCache;
+use crate::snapshot::ChaseSnapshot;
 use crate::CoreError;
 
 /// Ordering key for an atom *under a partial variable numbering*:
@@ -462,6 +462,15 @@ impl DecisionKey {
         &self.bytes
     }
 
+    /// The chase level bound the pair is decided at: derived from the
+    /// core sizes for a semantic key, the effective bound otherwise. A
+    /// chase of `q1` built this deep decides the pair exactly.
+    pub fn bound(&self) -> u32 {
+        // The bytes end `bound · analysis · sigma`: 4 + 1 + 8 bytes.
+        let at = self.bytes.len() - 13;
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("four bytes"))
+    }
+
     /// `q1`'s half: [`QueryKey::of`]`(q1)` for a semantic key,
     /// [`QueryKey::structural`]`(q1)` otherwise. Either way it names the
     /// query the pair's decision chases.
@@ -564,7 +573,8 @@ fn charge(key: &DecisionKey) -> usize {
 /// bounded table under never-repeating traffic. An evicted pair is simply
 /// decided again on its next ask. The table stores each decided
 /// [`ContainmentResult`] itself, minus its
-/// [`witness`](ContainmentResult::witness), so hits carry none; ask the
+/// [`witness`](ContainmentResult::witness) and
+/// [`hom_stats`](ContainmentResult::hom_stats), so hits carry neither; ask the
 /// uncached [`crate::contains_with`] when the homomorphism itself is
 /// needed. A miss is always computed on the *original* pair, so the first
 /// caller does get its witness in its own variable names.
@@ -595,8 +605,9 @@ impl Default for DecisionCache {
 impl DecisionCache {
     /// The byte cap of every decision table: 64 MiB, the default of
     /// `flqd --cache-bytes`. Each decision is charged its key bytes plus
-    /// the fixed sizes of [`DecisionKey`] and [`ContainmentResult`] — an
-    /// estimate that leaves out the table's own per-entry overhead.
+    /// the fixed sizes of [`DecisionKey`] and [`ContainmentResult`], its
+    /// zeroed hom-search counts included — an estimate that leaves out
+    /// the table's own per-entry overhead.
     pub const CAP_BYTES: usize = 64 << 20;
 
     /// Creates an empty cache capped at [`CAP_BYTES`](DecisionCache::CAP_BYTES).
@@ -614,27 +625,6 @@ impl DecisionCache {
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn lookup(&self, key: &DecisionKey) -> Option<ContainmentResult> {
-        self.inner.get(key, |_| true)
-    }
-
-    fn store(&self, key: &DecisionKey, result: &ContainmentResult) {
-        // The witness is expressed in the original queries' variables and
-        // does not survive canonical renaming. An exhausted verdict is a
-        // statement about the budget that happened to govern this run,
-        // not about the pair; caching it would replay "undecided" for
-        // callers with generous budgets.
-        self.inner.insert(
-            key.clone(),
-            ContainmentResult {
-                witness: None,
-                ..*result
-            },
-            charge(key),
-            !result.is_exhausted(),
-        );
     }
 
     /// [`crate::contains`] through the cache.
@@ -688,21 +678,32 @@ impl DecisionCache {
         key: &DecisionKey,
         compute: impl FnOnce() -> Result<ContainmentResult, CoreError>,
     ) -> Result<ContainmentResult, CoreError> {
-        if let Some(hit) = self.lookup(key) {
+        if let Some(hit) = self.inner.get(key, |_| true) {
             return Ok(hit);
         }
         let result = compute()?;
-        self.store(key, &result);
+        // The witness is expressed in the original queries' variables and
+        // does not survive canonical renaming, and the search counts
+        // describe work a hit does not do. An exhausted verdict is a
+        // statement about the budget that happened to govern this run,
+        // not about the pair; caching it would replay "undecided" for
+        // callers with generous budgets.
+        let hit = ContainmentResult {
+            witness: None,
+            hom: HomStats::default(),
+            ..result
+        };
+        self.inner
+            .insert(key.clone(), hit, charge(key), !result.is_exhausted());
         Ok(result)
     }
 
-    /// [`crate::contains_batch`] through the cache: pairs already decided
-    /// (up to semantic equivalence) are answered from the memo table,
-    /// within-batch repeats of the same canonical pair are decided once
-    /// and fanned out, and the single shared chase of `q1` is built only
-    /// when at least one pair misses. `q1`'s canonical forms are computed
-    /// once for the whole batch; pairs of different arities get their
-    /// error without being keyed.
+    /// [`crate::contains_batch`] through the cache: each pair goes through
+    /// [`contains_keyed`](DecisionCache::contains_keyed), and misses are
+    /// decided on one [`ChaseSnapshot::for_candidates`] of `q1`, built at
+    /// the first miss, so they report the bound [`crate::contains_batch`]
+    /// reports. A within-batch repeat of a decided pair is a memo hit.
+    /// Pairs of different arities get their error without being keyed.
     pub fn contains_batch(
         &self,
         q1: &ConjunctiveQuery,
@@ -710,67 +711,18 @@ impl DecisionCache {
         opts: &ContainmentOptions,
     ) -> Vec<Result<ContainmentResult, CoreError>> {
         let mut builder = KeyBuilder::new(q1, opts);
-        // Per-pair effective bound, even though the shared chase is built
-        // to the batch maximum: a verdict computed at a bound ≥ the
-        // pair's own effective bound answers exactly the per-pair
-        // question (Theorem 12 completeness).
-        let keys: Vec<Result<DecisionKey, CoreError>> = q2s
-            .iter()
-            .map(|q2| builder.key(q2).map(|(key, _)| key))
-            .collect();
-
-        // One representative slot per canonical pair that misses the memo
-        // table; later occurrences of the same key are served from the
-        // representative's computation and count as hits.
-        let mut rep: HashMap<&DecisionKey, usize> = HashMap::new();
-        let mut dup_of: Vec<Option<usize>> = vec![None; q2s.len()];
-        let mut out: Vec<Option<Result<ContainmentResult, CoreError>>> =
-            Vec::with_capacity(q2s.len());
-        let mut missed: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            out.push(match key {
-                Err(e) => Some(Err(e.clone())),
-                Ok(key) => {
-                    if let Some(&r) = rep.get(key) {
-                        dup_of[i] = Some(r);
-                        None
-                    } else if let Some(d) = self.lookup(key) {
-                        Some(Ok(d))
-                    } else {
-                        rep.insert(key, i);
-                        missed.push(i);
-                        None
-                    }
-                }
-            });
-        }
-
-        if !missed.is_empty() {
-            let missed_qs: Vec<ConjunctiveQuery> = missed.iter().map(|&i| q2s[i].clone()).collect();
-            let computed = contains_batch(q1, &missed_qs, opts);
-            for (&i, result) in missed.iter().zip(computed) {
-                if let (Ok(r), Ok(key)) = (&result, &keys[i]) {
-                    self.store(key, r);
-                }
-                out[i] = Some(result);
-            }
-        }
-        for i in 0..q2s.len() {
-            if let Some(r) = dup_of[i] {
-                // The representative's witness is keyed by *its* q2's
-                // variables, not this occurrence's; strip it like any
-                // other cache hit.
-                out[i] = Some(match out[r].as_ref().expect("representative filled") {
-                    Ok(res) => Ok(ContainmentResult {
-                        witness: None,
-                        ..*res
-                    }),
-                    Err(e) => Err(e.clone()),
-                });
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every slot filled"))
+        let snapshot = OnceCell::new();
+        q2s.iter()
+            .map(|q2| {
+                let (key, _) = builder.key(q2)?;
+                self.contains_keyed(&key, || {
+                    snapshot
+                        .get_or_init(|| ChaseSnapshot::for_candidates(q1, q2s, opts))
+                        .as_ref()
+                        .map_err(CoreError::clone)?
+                        .contains(q2, opts)
+                })
+            })
             .collect()
     }
 }

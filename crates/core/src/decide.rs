@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use flogic_analysis::{classify_rule_set, direct_unsat, QueryAnalysis};
 use flogic_chase::{chase_bounded, Budget, Chase, ChaseOptions, ChaseOutcome, ExhaustReason};
-use flogic_hom::find_hom;
+use flogic_hom::{find_hom_counted, HomStats};
 use flogic_model::{ConjunctiveQuery, RuleSet};
 use flogic_term::{Subst, Term};
 
@@ -113,13 +113,13 @@ pub fn bound_from_sizes(n1: usize, n2: usize) -> u32 {
     u32::try_from(product).unwrap_or(u32::MAX)
 }
 
-/// The level bound an options struct implies for body sizes `n1`, `n2`:
+/// The level bound every decision chases to for body sizes `n1`, `n2`:
 /// the explicit [`ContainmentOptions::level_bound`] override if set, the
 /// Theorem 12 bound for the built-in `Σ_FL`, or the admission-derived
 /// bound of a custom rule set (weakly acyclic sets get the rank-based
 /// terminating bound, guarded/sticky sets the `2·n1·n2` shape — see
 /// [`flogic_analysis::SigmaAdmission::level_bound`]).
-pub(crate) fn sigma_bound(opts: &ContainmentOptions, n1: usize, n2: usize) -> u32 {
+pub fn sigma_bound(opts: &ContainmentOptions, n1: usize, n2: usize) -> u32 {
     opts.level_bound
         .unwrap_or_else(|| derived_bound(opts, n1, n2))
 }
@@ -150,7 +150,22 @@ pub enum Verdict {
     Exhausted(ExhaustReason),
 }
 
-/// Outcome of a containment check.
+impl Verdict {
+    /// The verdict's one wire name: `holds`, `not_holds` or `exhausted`.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            Verdict::Holds => "holds",
+            Verdict::NotHolds => "not_holds",
+            Verdict::Exhausted(_) => "exhausted",
+        }
+    }
+}
+
+/// Outcome of a containment check, from the one decision tail: the
+/// analysis fast paths, then the chase outcome, then the homomorphism
+/// search. A result a cache replays ([`crate::DecisionCache`],
+/// [`crate::decode_decision`]) has no [`witness`](Self::witness) and zero
+/// [`hom_stats`](Self::hom_stats): this call ran no search.
 #[derive(Clone, Debug)]
 pub struct ContainmentResult {
     pub(crate) verdict: Verdict,
@@ -161,6 +176,7 @@ pub struct ContainmentResult {
     pub(crate) level_bound: u32,
     pub(crate) max_chase_level: u32,
     pub(crate) decided_by_analysis: bool,
+    pub(crate) hom: HomStats,
 }
 
 impl ContainmentResult {
@@ -235,6 +251,12 @@ impl ContainmentResult {
     /// [`ContainmentOptions::analysis`]).
     pub fn decided_by_analysis(&self) -> bool {
         self.decided_by_analysis
+    }
+
+    /// What the homomorphism search behind this verdict did. All zero when
+    /// none ran: an analysis answer, a failed or exhausted chase, a hit.
+    pub fn hom_stats(&self) -> HomStats {
+        self.hom
     }
 }
 
@@ -352,6 +374,7 @@ pub(crate) fn analysis_verdict(
         level_bound: bound,
         max_chase_level,
         decided_by_analysis: true,
+        hom: HomStats::default(),
     })
 }
 
@@ -362,19 +385,21 @@ pub(crate) fn analysis_verdict(
 /// * an exhausted chase is a prefix, so the question stays undecided; the
 ///   partial statistics ride along so callers can report how far the run
 ///   got;
-/// * otherwise the homomorphism search on the chase's own index decides.
+/// * otherwise the homomorphism search on the chase's own index decides,
+///   and the result carries what that search did.
 pub(crate) fn chase_verdict(chase: &Chase, q2: &ConjunctiveQuery, bound: u32) -> ContainmentResult {
-    let (verdict, vacuous, witness) = match chase.outcome() {
-        ChaseOutcome::Failed { .. } => (Verdict::Holds, true, None),
-        ChaseOutcome::Exhausted { reason } => (Verdict::Exhausted(reason), false, None),
+    let (mut witness, mut hom) = (None, HomStats::default());
+    let (verdict, vacuous) = match chase.outcome() {
+        ChaseOutcome::Failed { .. } => (Verdict::Holds, true),
+        ChaseOutcome::Exhausted { reason } => (Verdict::Exhausted(reason), false),
         ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {
-            let witness = find_hom(q2.body(), q2.head(), chase, chase.head());
+            (witness, hom) = find_hom_counted(q2.body(), q2.head(), chase, chase.head());
             let verdict = if witness.is_some() {
                 Verdict::Holds
             } else {
                 Verdict::NotHolds
             };
-            (verdict, false, witness)
+            (verdict, false)
         }
     };
     ContainmentResult {
@@ -386,6 +411,7 @@ pub(crate) fn chase_verdict(chase: &Chase, q2: &ConjunctiveQuery, bound: u32) ->
         level_bound: bound,
         max_chase_level: chase.max_level(),
         decided_by_analysis: false,
+        hom,
     }
 }
 
@@ -430,12 +456,7 @@ pub fn contains_batch(
     q2s: &[ConjunctiveQuery],
     opts: &ContainmentOptions,
 ) -> Vec<Result<ContainmentResult, CoreError>> {
-    let same_arity = || q2s.iter().filter(|q2| q2.arity() == q1.arity());
-    let bound = same_arity()
-        .map(|q2| sigma_bound(opts, q1.size(), q2.size()))
-        .max()
-        .unwrap_or(0);
-    match ChaseSnapshot::build(q1, bound, opts) {
+    match ChaseSnapshot::for_candidates(q1, q2s, opts) {
         Ok(snapshot) => q2s.iter().map(|q2| snapshot.contains(q2, opts)).collect(),
         // A worker panic poisons only this batch call, not the process;
         // every slot reports the same error.
@@ -750,9 +771,11 @@ mod tests {
         // The analyzer refutes this pair before any chase. A budget that
         // stops the chase must not turn that answer into `Exhausted` on
         // one entry point while the others answer `NotHolds`; with the
-        // analysis off, all three report the same undecided verdict.
+        // analysis off, all of them report the same undecided verdict.
         let q1 = q("q(X, Z) :- sub(X, Y), sub(Y, Z).");
         let q2 = q("p(X, Z) :- member(X, Z).");
+        // Both disjuncts are refuted by the analyzer.
+        let union = [q2.clone(), q("r(X, Z) :- data(X, Z, W).")];
         let deadline = ContainmentOptions {
             budget: Budget::with_timeout(std::time::Duration::ZERO),
             ..Default::default()
@@ -778,6 +801,10 @@ mod tests {
                     .unwrap()
                     .contains(&q2, &opts)
                     .unwrap();
+                let cached = crate::DecisionCache::new()
+                    .contains_batch(&q1, std::slice::from_ref(&q2), &opts)
+                    .remove(0)
+                    .unwrap();
                 let facts =
                     |r: &ContainmentResult| (r.verdict(), r.is_vacuous(), r.decided_by_analysis());
                 let want = if analysis {
@@ -789,8 +816,79 @@ mod tests {
                 assert_eq!(facts(&single), want, "contains_with, {case}");
                 assert_eq!(facts(&batch), want, "contains_batch, {case}");
                 assert_eq!(facts(&snapshot), want, "ChaseSnapshot, {case}");
+                assert_eq!(
+                    facts(&cached),
+                    want,
+                    "DecisionCache::contains_batch, {case}"
+                );
+
+                let explained = crate::explain(&q1, &q2, &opts);
+                let in_union = crate::contained_in_union(&q1, &union, &opts);
+                if analysis {
+                    let explained = explained.unwrap_or_else(|e| panic!("explain, {case}: {e}"));
+                    assert!(
+                        matches!(explained, crate::Explanation::NotContained),
+                        "explain, {case}: {explained}"
+                    );
+                    assert_eq!(in_union, Ok(None), "contained_in_union, {case}");
+                } else {
+                    let undecided = |e: &CoreError| matches!(e, CoreError::Exhausted { reason: r, .. } if *r == reason);
+                    assert!(
+                        explained.as_ref().is_err_and(undecided),
+                        "explain, {case}: {explained:?}"
+                    );
+                    assert!(
+                        in_union.as_ref().is_err_and(undecided),
+                        "contained_in_union, {case}: {in_union:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn hom_counts_come_from_the_decisions_own_search() {
+        // Section 2's pair is decided by the search: its counts are those
+        // of `find_hom_counted` on the same chase.
+        let q1 = q("q(A,B) :- T1[A*=>T2], T2::T3, T3[B*=>_].");
+        let q2 = q("qq(A,B) :- T1[A*=>T2], T2[B*=>_].");
+        let opts = ContainmentOptions::default();
+        let snap = ChaseSnapshot::for_candidates(&q1, std::slice::from_ref(&q2), &opts).unwrap();
+        let chase = snap.chase();
+        let (_, direct) = find_hom_counted(q2.body(), q2.head(), chase, chase.head());
+        let counts = |h: HomStats| (h.expansions, h.backtracks, h.prunes);
+        assert_eq!(counts(direct), (2, 0, 3));
+        assert_eq!(snap.contains(&q2, &opts).unwrap().hom_stats(), direct);
+        let fresh = contains_with(&q1, &q2, &opts).unwrap();
+        assert_eq!(fresh.hom_stats(), direct);
+
+        // No search ran: an analysis answer, a failed chase.
+        let none = HomStats::default();
+        let refuted = contains(
+            &q("q(X, Z) :- sub(X, Y), sub(Y, Z)."),
+            &q("p(X, Z) :- member(X, Z)."),
+        )
+        .unwrap();
+        assert!(refuted.decided_by_analysis());
+        assert_eq!(refuted.hom_stats(), none);
+        let failed = contains_with(
+            &q("q() :- data(o, a, 1), data(o, a, 2), funct(a, o)."),
+            &q("qq() :- sub(X, Y)."),
+            &ContainmentOptions {
+                analysis: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(failed.is_vacuous());
+        assert_eq!(failed.hom_stats(), none);
+
+        // A replayed decision did not search: a cache hit, a decoded value.
+        let cache = crate::DecisionCache::new();
+        assert_eq!(cache.contains(&q1, &q2).unwrap().hom_stats(), direct);
+        assert_eq!(cache.contains(&q1, &q2).unwrap().hom_stats(), none);
+        let bytes = crate::encode_decision(&fresh).unwrap();
+        assert_eq!(crate::decode_decision(&bytes).unwrap().hom_stats(), none);
     }
 
     #[test]

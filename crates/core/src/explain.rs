@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use flogic_chase::{Chase, ChaseOutcome, ConjunctId};
-use flogic_hom::find_hom;
+use flogic_chase::{Chase, ConjunctId};
 use flogic_model::{Atom, ConjunctiveQuery, RuleId};
 
-use crate::decide::{chase_to, ContainmentOptions};
-use crate::CoreError;
+use crate::{ChaseSnapshot, ContainmentOptions, CoreError};
 
 /// One step of a derivation: `conclusion` was obtained by applying `rule`
 /// to `premises`.
@@ -125,41 +123,32 @@ fn trace(
 
 /// Decides `q1 ⊆_ΣFL q2` and, when it holds, explains why: the witness
 /// mapping and the `Σ_FL` derivation of every derived image conjunct.
+///
+/// The verdict and witness are [`ChaseSnapshot::contains`]'s, so the
+/// answer is [`contains_with`](crate::contains_with)'s; an undecided pair
+/// is [`CoreError::Exhausted`], as an explanation over a partial chase
+/// would be misleading.
 pub fn explain(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     opts: &ContainmentOptions,
 ) -> Result<Explanation, CoreError> {
-    if q1.arity() != q2.arity() {
-        return Err(CoreError::ArityMismatch {
-            q1: q1.arity(),
-            q2: q2.arity(),
-        });
+    let snapshot = ChaseSnapshot::for_candidates(q1, std::slice::from_ref(q2), opts)?;
+    let result = snapshot.contains(q2, opts)?.require_decided()?;
+    if result.is_vacuous() {
+        return Ok(Explanation::Vacuous);
     }
-    let bound = crate::decide::sigma_bound(opts, q1.size(), q2.size());
-    let chase = chase_to(q1, bound, opts)?;
-    match chase.outcome() {
-        ChaseOutcome::Failed { .. } => return Ok(Explanation::Vacuous),
-        ChaseOutcome::Exhausted { reason } => {
-            // An explanation over a partial chase would be misleading.
-            return Err(CoreError::Exhausted {
-                reason,
-                conjuncts: chase.len(),
-                levels: chase.max_level(),
-            });
-        }
-        ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
-    }
-    let Some(hom) = find_hom(q2.body(), q2.head(), &chase, chase.head()) else {
+    let Some(hom) = result.witness() else {
         return Ok(Explanation::NotContained);
     };
+    let chase = snapshot.chase();
     let mut atom_images = Vec::new();
     let mut derivations = Vec::new();
     let mut seen = Vec::new();
     for atom in q2.body() {
-        let image = atom.apply(&hom);
+        let image = atom.apply(hom);
         if let Some(id) = chase.find(&image) {
-            trace(&chase, id, &mut derivations, &mut seen);
+            trace(chase, id, &mut derivations, &mut seen);
         }
         atom_images.push((*atom, image));
     }

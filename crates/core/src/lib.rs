@@ -35,7 +35,12 @@
 //!   representatives themselves;
 //! * [`ChaseSnapshot`] — a resident, reusable chase of one `q1` so that
 //!   long-lived processes (the `flqd` server) decide repeated questions
-//!   about the same `q1` with the homomorphism search alone;
+//!   about the same `q1` with the homomorphism search alone. Its
+//!   [`contains`](ChaseSnapshot::contains) is the one decision tail:
+//!   [`contains_batch`], [`explain`], [`contained_in_union`] and the
+//!   cached batch all decide through it, on one
+//!   [`ChaseSnapshot::for_candidates`] whose bound comes from
+//!   [`sigma_bound`];
 //! * [`RecencyCache`] — the byte-capped LRU under both of `flqd`'s RAM
 //!   tiers: the decision table and the snapshot cache;
 //! * [`encode_decision`] / [`decode_decision`] — the portable, versioned
@@ -60,8 +65,8 @@ pub use cache::{
 };
 pub use classic::classic_contains;
 pub use decide::{
-    bound_from_sizes, contains, contains_batch, contains_with, theorem_bound, ContainmentOptions,
-    ContainmentResult, Verdict,
+    bound_from_sizes, contains, contains_batch, contains_with, sigma_bound, theorem_bound,
+    ContainmentOptions, ContainmentResult, Verdict,
 };
 pub use error::{CoreError, DecideError};
 pub use persist::{decode_decision, encode_decision, PERSIST_FORMAT_VERSION};

@@ -30,6 +30,7 @@
 //! them. The full compatibility policy lives in `docs/STORAGE.md`.
 
 use flogic_chase::{ChaseOutcome, ExhaustReason};
+use flogic_hom::HomStats;
 use flogic_term::{NullId, Symbol, Term};
 
 use crate::decide::{ContainmentResult, Verdict};
@@ -153,8 +154,9 @@ fn read_reason(tag: u8) -> Option<ExhaustReason> {
 /// it, and replaying "undecided" for future callers with generous
 /// budgets would be wrong (the same rule the in-RAM cache enforces).
 ///
-/// The witness substitution is stripped exactly as in-RAM hits strip it;
-/// [`decode_decision`] restores `witness: None`. Everything else —
+/// The witness substitution and the hom-search counts are stripped
+/// exactly as in-RAM hits strip them; [`decode_decision`] restores
+/// `witness: None` and zero counts. Everything else —
 /// verdict, vacuity, chase outcome (including `Failed` clash terms, by
 /// name), effective bound, chase size/level, the analysis attribution —
 /// round-trips bit-identically, which `tests/store_cross_validation.rs`
@@ -244,6 +246,7 @@ pub fn decode_decision(bytes: &[u8]) -> Option<ContainmentResult> {
         level_bound,
         max_chase_level,
         decided_by_analysis,
+        hom: HomStats::default(),
     })
 }
 
@@ -395,6 +398,7 @@ mod tests {
             level_bound: 3,
             max_chase_level: 2,
             decided_by_analysis: false,
+            hom: HomStats::default(),
         };
         let back = decode_decision(&encode_decision(&r).unwrap()).unwrap();
         assert_same(&r, &back);

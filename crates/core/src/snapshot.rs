@@ -2,8 +2,10 @@
 //! chase of `q1`.
 //!
 //! A [`ChaseSnapshot`] is one chase of `q1` as a first-class value.
-//! [`contains_batch`](crate::contains_batch) builds one per call and
-//! decides every candidate against it; the containment server (`flqd`,
+//! Every entry point but [`contains_with`] — the batches, `explain`, the
+//! union check, `flq profile` — builds one per call with
+//! [`ChaseSnapshot::for_candidates`] and decides every candidate with
+//! [`ChaseSnapshot::contains`]; the containment server (`flqd`,
 //! crate `flogic-serve`) keeps a [`RecencyCache`](crate::RecencyCache)
 //! of them, capped at `--cache-bytes` and charged
 //! [`approx_bytes`](ChaseSnapshot::approx_bytes) each, so that repeated
@@ -26,14 +28,15 @@ use flogic_model::ConjunctiveQuery;
 use flogic_term::Term;
 
 use crate::decide::{
-    analysis_verdict, chase_to, chase_verdict, contains_with, derived_bound, visible_clash,
-    ContainmentOptions, ContainmentResult,
+    analysis_verdict, chase_to, chase_verdict, contains_with, derived_bound, sigma_bound,
+    visible_clash, ContainmentOptions, ContainmentResult,
 };
 use crate::CoreError;
 
 /// A resident, reusable chase of one `q1`, with its static-analysis
 /// summary precomputed. The homomorphism search runs on the chase's own
-/// atom index, so the snapshot holds its atoms once.
+/// atom index, so the snapshot holds its atoms once. Its
+/// [`contains`](ChaseSnapshot::contains) is the one decision tail.
 ///
 /// ```
 /// use flogic_core::{theorem_bound, ChaseSnapshot, ContainmentOptions};
@@ -84,6 +87,25 @@ impl ChaseSnapshot {
             unsat: visible_clash(q1, &opts.sigma),
             analysis: QueryAnalysis::for_rules(q1, &opts.sigma),
         })
+    }
+
+    /// [`build`](ChaseSnapshot::build) at the deepest bound
+    /// [`contains_with`] would use for `q1` against any of the
+    /// candidates `q2s` of `q1`'s arity ([`sigma_bound`]), so the one
+    /// chase [`covers`](ChaseSnapshot::covers) every such pair; `0` when
+    /// there is none. This is where every shared chase takes its bound.
+    pub fn for_candidates(
+        q1: &ConjunctiveQuery,
+        q2s: &[ConjunctiveQuery],
+        opts: &ContainmentOptions,
+    ) -> Result<ChaseSnapshot, CoreError> {
+        let bound = q2s
+            .iter()
+            .filter(|q2| q2.arity() == q1.arity())
+            .map(|q2| sigma_bound(opts, q1.size(), q2.size()))
+            .max()
+            .unwrap_or(0);
+        ChaseSnapshot::build(q1, bound, opts)
     }
 
     /// The query this snapshot chases.
@@ -155,7 +177,10 @@ impl ChaseSnapshot {
     /// [`contains_with`] so the answer is still exact. Reported metadata
     /// (`level_bound`, `chase_conjuncts`) describes the shared chase,
     /// exactly as [`contains_batch`](crate::contains_batch) reports its
-    /// shared bound.
+    /// shared bound. On a covered pair the witness is a homomorphism
+    /// into [`chase`](ChaseSnapshot::chase), and
+    /// [`hom_stats`](ContainmentResult::hom_stats) counts the search that
+    /// looked for it.
     pub fn contains(
         &self,
         q2: &ConjunctiveQuery,

@@ -13,12 +13,9 @@
 //! * `Q ⊆_ΣFL q` iff **every** disjunct is contained in `q` (union is the
 //!   least upper bound).
 
-use flogic_chase::ChaseOutcome;
-use flogic_hom::find_hom;
 use flogic_model::ConjunctiveQuery;
 
-use crate::decide::{chase_to, contains_with, ContainmentOptions};
-use crate::CoreError;
+use crate::{contains_with, ChaseSnapshot, ContainmentOptions, CoreError};
 
 /// Decides `q ⊆_ΣFL (q2s[0] ∪ q2s[1] ∪ …)`.
 ///
@@ -27,6 +24,11 @@ use crate::CoreError;
 /// if the containment does not hold. For an *empty* union `None` is always
 /// returned: `q ⊆ ∅` holds only when `q` is unsatisfiable, which callers
 /// can observe with [`crate::contains`]'s vacuity flag.
+///
+/// One [`ChaseSnapshot`] serves every disjunct, each decided as
+/// [`contains_with`] decides it. An undecided disjunct before the first
+/// that holds is [`CoreError::Exhausted`]: "no disjunct contains `q`"
+/// cannot be certified from a prefix.
 pub fn contained_in_union(
     q: &ConjunctiveQuery,
     q2s: &[ConjunctiveQuery],
@@ -40,31 +42,9 @@ pub fn contained_in_union(
             });
         }
     }
-    // One chase serves all disjuncts; use the largest bound needed.
-    let bound = q2s
-        .iter()
-        .map(|q2| crate::decide::sigma_bound(opts, q.size(), q2.size()))
-        .max()
-        .unwrap_or(0);
-    let chase = chase_to(q, bound, opts)?;
-    match chase.outcome() {
-        ChaseOutcome::Failed { .. } => {
-            // Vacuous: q is unsatisfiable, hence contained in any non-empty
-            // union; report the first disjunct by convention.
-            return Ok(if q2s.is_empty() { None } else { Some(0) });
-        }
-        ChaseOutcome::Exhausted { reason } => {
-            // "No disjunct contains q" cannot be certified from a prefix.
-            return Err(CoreError::Exhausted {
-                reason,
-                conjuncts: chase.len(),
-                levels: chase.max_level(),
-            });
-        }
-        ChaseOutcome::Completed | ChaseOutcome::LevelBounded => {}
-    }
+    let snapshot = ChaseSnapshot::for_candidates(q, q2s, opts)?;
     for (i, q2) in q2s.iter().enumerate() {
-        if find_hom(q2.body(), q2.head(), &chase, chase.head()).is_some() {
+        if snapshot.contains(q2, opts)?.require_decided()?.holds() {
             return Ok(Some(i));
         }
     }

@@ -303,13 +303,10 @@ pub fn reason_code(reason: ExhaustReason) -> &'static str {
 pub fn verdict_json(result: &ContainmentResult) -> String {
     let mut s = String::with_capacity(160);
     s.push_str("{\"verdict\":");
-    match result.verdict() {
-        Verdict::Holds => s.push_str("\"holds\""),
-        Verdict::NotHolds => s.push_str("\"not_holds\""),
-        Verdict::Exhausted(reason) => {
-            s.push_str("\"exhausted\",\"reason\":");
-            escape_into(&mut s, reason_code(reason));
-        }
+    escape_into(&mut s, result.verdict().wire_name());
+    if let Verdict::Exhausted(reason) = result.verdict() {
+        s.push_str(",\"reason\":");
+        escape_into(&mut s, reason_code(reason));
     }
     let _ = write!(s, ",\"vacuous\":{}", result.is_vacuous());
     let _ = write!(

@@ -11,8 +11,9 @@
 //!
 //! The transport is a hand-rolled nonblocking reactor — `epoll` via the
 //! same one-scoped-FFI pattern as [`signal`], a single event loop owning
-//! every socket, and a bounded worker pool owning every chase (see
-//! [`reactor`](crate::conn)) — still dependency-free in the same spirit
+//! every socket, and a bounded worker pool owning every chase (the
+//! private `reactor` module; [`conn`] holds its per-connection state
+//! machines) — still dependency-free in the same spirit
 //! as `flogic-obs`'s JSONL layer. Connections are kept alive and may
 //! pipeline; responses always come back in request order. The
 //! interesting contracts stay semantic, not protocol-level:

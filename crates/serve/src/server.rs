@@ -31,10 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use flogic_core::{
-    theorem_bound, ContainmentOptions, ContainmentResult, CoreError, DecisionKey, KeyBuilder,
-    Verdict,
-};
+use flogic_core::{ContainmentOptions, ContainmentResult, CoreError, DecisionKey, KeyBuilder};
 use flogic_model::ConjunctiveQuery;
 use flogic_store::DurableDecisionCache;
 use flogic_syntax::parse_query;
@@ -367,15 +364,6 @@ pub(crate) fn route(shared: &Arc<Shared>, req: &Request, meta: &mut ReqMeta) -> 
     }
 }
 
-/// The access-log name of a decision verdict.
-fn verdict_name(result: &ContainmentResult) -> &'static str {
-    match result.verdict() {
-        Verdict::Holds => "holds",
-        Verdict::NotHolds => "not_holds",
-        Verdict::Exhausted(_) => "exhausted",
-    }
-}
-
 /// `POST /v1/contains`: one pair, one verdict object.
 fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> Response {
     let req = match api::parse_contains(body) {
@@ -390,7 +378,7 @@ fn contains_endpoint(shared: &Arc<Shared>, body: &[u8], meta: &mut ReqMeta) -> R
     meta.span.mark("decode");
     match decide_pair(shared, &q1, &q2, &opts, meta) {
         Ok(result) => {
-            meta.verdict = Some(verdict_name(&result));
+            meta.verdict = Some(result.verdict().wire_name());
             Response::json(200, api::verdict_json(&result))
         }
         Err(e) => api::core_error(&e).to_response(),
@@ -498,9 +486,9 @@ fn decide_pair(
 
 /// Decides the pair `key` names — its canonical representatives, or the
 /// pair as given — through the decision tiers over the snapshot cache,
-/// reporting *when* the compute closure started: `None` means a decision
-/// tier answered outright. Feeds the `flqd_decision_cache_{hits,misses}`
-/// counters.
+/// at the bound the key carries, reporting *when* the compute closure
+/// started: `None` means a decision tier answered outright. Feeds the
+/// `flqd_decision_cache_{hits,misses}` counters.
 fn decide_keyed(
     shared: &Arc<Shared>,
     key: &DecisionKey,
@@ -510,10 +498,9 @@ fn decide_keyed(
     let compute_start = Cell::new(None);
     let out = shared.decisions.contains_keyed(key, || {
         compute_start.set(Some(Instant::now()));
-        let bound = theorem_bound(q1, q2);
         let snapshot = shared
             .snapshots
-            .get_or_build_keyed(key.q1(), q1, bound, opts)?;
+            .get_or_build_keyed(key.q1(), q1, key.bound(), opts)?;
         snapshot.contains(q2, opts)
     });
     let computed = compute_start.get();

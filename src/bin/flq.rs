@@ -101,14 +101,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flogic_lite::analysis::{admit_sigma, classify_rule_set, lint_source};
+use flogic_lite::analysis::{admit_sigma, lint_source};
 use flogic_lite::chase::{chase_bounded, to_dot, to_text, Budget, ChaseOptions};
 use flogic_lite::core::{
-    classic_contains, contains_with, explain, minimize_with, theorem_bound, ChaseSnapshot,
-    ContainmentOptions, CoreError,
+    classic_contains, contains_with, explain, minimize_with, sigma_bound, theorem_bound,
+    ChaseSnapshot, ContainmentOptions, CoreError,
 };
 use flogic_lite::datalog::{answers, close_database, ClosureOptions};
-use flogic_lite::hom::{find_hom_counted, HomStats};
 use flogic_lite::model::{DepGraph, RuleSet};
 use flogic_lite::prelude::*;
 use flogic_lite::serve::SERVE_FLAGS;
@@ -118,6 +117,26 @@ use flogic_lite::syntax::query_to_flogic;
 /// procedure could decide (distinct from failure, which means the answer
 /// is known to be an error).
 const EXIT_EXHAUSTED: u8 = 3;
+
+/// Writes `args` to stdout; once the reader has gone (`flq chase … |
+/// head -1`), exits 0 where `std`'s `print!` would panic.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+// Every `print!` and `println!` below goes through `write_stdout`.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+macro_rules! println {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// The subcommands `main` dispatches on, for the unknown-subcommand
 /// error message and the `help` output.
@@ -402,29 +421,22 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     run_profile(q1_src, q2_src, &opts)
 }
 
-/// The chase level bound `contains_with` would use for the pair: the
-/// Theorem 12 bound under `Σ_FL`, the admission-derived bound otherwise.
-fn pair_bound(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, opts: &ContainmentOptions) -> u32 {
-    if opts.sigma.is_sigma_fl() {
-        theorem_bound(q1, q2)
-    } else {
-        classify_rule_set(opts.sigma.clone()).level_bound(q1.size(), q2.size())
-    }
-}
-
 /// Decides the pair on one chase snapshot and prints what that chase and
-/// a homomorphism search on it did.
+/// the decision's homomorphism search on it did.
 fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCode {
     let (q1, q2) = match (parse_or_exit(q1_src), parse_or_exit(q2_src)) {
         (Ok(a), Ok(b)) => (a, b),
         _ => return ExitCode::FAILURE,
     };
     let chase_start = Instant::now();
-    let decided = ChaseSnapshot::build(&q1, pair_bound(&q1, &q2, opts), opts).and_then(|snap| {
-        let chase_time = chase_start.elapsed();
-        snap.contains(&q2, opts).map(|r| (snap, chase_time, r))
-    });
-    let (snapshot, chase_time, result) = match decided {
+    let decided =
+        ChaseSnapshot::for_candidates(&q1, std::slice::from_ref(&q2), opts).and_then(|snap| {
+            let chase_time = chase_start.elapsed();
+            let hom_start = Instant::now();
+            let result = snap.contains(&q2, opts)?;
+            Ok((snap, chase_time, hom_start.elapsed(), result))
+        });
+    let (snapshot, chase_time, hom_time, result) = match decided {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {e}");
@@ -446,15 +458,7 @@ fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCod
 
     let chase = snapshot.chase();
     let stats = chase.stats();
-    // The hom search runs where the decision tail runs it: on a chase that
-    // neither failed nor ran out of budget.
-    let hom_start = Instant::now();
-    let hom = if chase.is_failed() || chase.is_exhausted() {
-        HomStats::default()
-    } else {
-        find_hom_counted(q2.body(), q2.head(), chase, chase.head()).1
-    };
-    let hom_time = hom_start.elapsed();
+    let hom = result.hom_stats();
 
     let firings = stats.rule_firings();
     println!("rule firings (Σ_FL):");
@@ -508,43 +512,33 @@ fn run_profile(q1_src: &str, q2_src: &str, opts: &ContainmentOptions) -> ExitCod
 /// set's dependency graph contains a cycle through an existential
 /// (value-inventing) edge, so the unrestricted chase need not terminate.
 fn print_invention_cycles(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, opts: &ContainmentOptions) {
-    if opts.sigma.is_sigma_fl() {
-        let cycles = DepGraph::sigma_fl().invention_cycles();
-        if cycles.is_empty() {
-            return;
-        }
-        println!();
-        for cycle in &cycles {
-            let path: Vec<String> = cycle.iter().map(|p| p.to_string()).collect();
-            println!(
-                "note: Σ_FL has a value-invention cycle {} -> (rho5, fresh value) -> {},",
-                path.join(" -> "),
-                path[0]
-            );
-        }
-        println!(
-            "      so the chase may be infinite and is cut at level 2*|q1|*|q2| = {} (Theorem 12).",
-            flogic_lite::core::theorem_bound(q1, q2)
-        );
-        return;
-    }
-    let cycles = DepGraph::for_rules(opts.sigma.rules()).invention_cycles();
+    let fl = opts.sigma.is_sigma_fl();
+    let cycles = if fl {
+        DepGraph::sigma_fl().invention_cycles()
+    } else {
+        DepGraph::for_rules(opts.sigma.rules()).invention_cycles()
+    };
     if cycles.is_empty() {
         return;
     }
+    let bound = sigma_bound(opts, q1.size(), q2.size());
+    let (set, edge, cut) = if fl {
+        let cut = format!("level 2*|q1|*|q2| = {bound} (Theorem 12)");
+        ("Σ_FL", "rho5, fresh value", cut)
+    } else {
+        let cut = format!("the derived level bound {bound}");
+        ("the active Σ", "fresh value", cut)
+    };
     println!();
     for cycle in &cycles {
         let path: Vec<String> = cycle.iter().map(|p| p.to_string()).collect();
         println!(
-            "note: the active Σ has a value-invention cycle {} -> (fresh value) -> {},",
+            "note: {set} has a value-invention cycle {} -> ({edge}) -> {},",
             path.join(" -> "),
             path[0]
         );
     }
-    println!(
-        "      so the chase may be infinite and is cut at the derived level bound {}.",
-        pair_bound(q1, q2, opts)
-    );
+    println!("      so the chase may be infinite and is cut at {cut}.");
 }
 
 fn cmd_chase(args: &[String]) -> ExitCode {
@@ -1083,14 +1077,10 @@ fn run_cache(action: &str, dir: &str, limit: usize) -> ExitCode {
             for (i, (key, value)) in entries.iter().enumerate() {
                 match flogic_lite::core::decode_decision(value) {
                     Some(r) => {
-                        let verdict = match r.verdict() {
-                            flogic_lite::core::Verdict::Holds => "holds",
-                            flogic_lite::core::Verdict::NotHolds => "not_holds",
-                            flogic_lite::core::Verdict::Exhausted(_) => "exhausted",
-                        };
                         println!(
-                            "  [{i}] key {} bytes  {verdict}{}{}  ({} chase conjuncts, bound {})",
+                            "  [{i}] key {} bytes  {}{}{}  ({} chase conjuncts, bound {})",
                             key.len(),
+                            r.verdict().wire_name(),
                             if r.is_vacuous() { "  vacuous" } else { "" },
                             if r.decided_by_analysis() {
                                 "  static"

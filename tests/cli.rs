@@ -385,3 +385,55 @@ observed depth 12 / theorem bound 12 = 1.000 (level bound 12)
 "#
     );
 }
+
+#[test]
+fn explain_under_a_budget_answers_as_contains_does() {
+    // The analyzer refutes this pair before any chase, so a budget that
+    // would stop the chase leaves both subcommands decided: `contains`
+    // prints `false`, and `explain` says the containment does not hold.
+    let q1 = "q(X, Z) :- sub(X, Y), sub(Y, Z).";
+    let q2 = "p(X, Z) :- member(X, Z).";
+    for budget in [["--timeout", "0"], ["--max-conjuncts", "2"]] {
+        let (stdout, stderr, code) = flq_code(&["contains", q1, q2, budget[0], budget[1]]);
+        assert_eq!(code, 0, "contains {budget:?}: {stdout}{stderr}");
+        assert!(stdout.contains("q1 ⊆_ΣFL q2:  false"), "{stdout}");
+        let (stdout, stderr, code) = flq_code(&["explain", q1, q2, budget[0], budget[1]]);
+        assert_eq!(code, 0, "explain {budget:?}: {stdout}{stderr}");
+        assert!(stdout.contains("containment does not hold"), "{stdout}");
+        // With the analysis off the chase is the only judge, and both
+        // subcommands report the budget.
+        let (_, _, code) = flq_code(&["contains", q1, q2, budget[0], budget[1], "--no-analysis"]);
+        assert_eq!(code, 3, "contains {budget:?} --no-analysis");
+        let (_, _, code) = flq_code(&["explain", q1, q2, budget[0], budget[1], "--no-analysis"]);
+        assert_eq!(code, 3, "explain {budget:?} --no-analysis");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_flq_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // Bound 1000 prints ~147 KB, more than a pipe buffer holds, so `flq`
+    // is still writing when the reader goes away after one line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flq"))
+        .args([
+            "chase",
+            "q() :- mandatory(A, T), type(T, A, T), sub(T, U).",
+            "--bound",
+            "1000",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("flq binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.starts_with("outcome:"), "{first}");
+    let out = child.wait_with_output().expect("flq exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
