@@ -77,9 +77,9 @@ fn run(id: &str, quick: bool, threads: usize) -> Option<ExperimentOutput> {
         }
         "e15" => {
             if quick {
-                experiments::e15(6, 120)
+                experiments::e15(6, 120, 3)
             } else {
-                experiments::e15(12, 400)
+                experiments::e15(12, 400, 5)
             }
         }
         "e16" => {

@@ -1844,8 +1844,10 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
 ///    logged). Spans and histograms cannot be disabled, so the log is
 ///    the toggleable increment; the A/B rows make the total cost of the
 ///    instrumented path visible next to the latency gate's budget.
-///    Asserted: log-on p50 within 5% of log-off (plus a small absolute
-///    jitter floor, since 5% of a ~100 µs p50 is single-digit µs).
+///    The A/B runs as `pairs` alternating off/on runs, each on a fresh
+///    server. Asserted on the median pair: log-on p50 within 5% of
+///    log-off (plus a small absolute jitter floor, since 5% of a ~100 µs
+///    p50 is single-digit µs).
 /// 2. **per-stage percentiles by transport mode** — close / keep-alive
 ///    / pipelined clients against fresh servers; the server's own
 ///    `flqd_stage_duration_nanoseconds` histograms are scraped before
@@ -1856,7 +1858,7 @@ pub fn e14(distinct: usize, variants: usize) -> ExperimentOutput {
 /// 3. **batch dedup** — one `POST /v1/contains_batch` carrying several
 ///    mutated respellings of every base `q1`: the server's canonical
 ///    dedup must fold them, observable as `flqd_batch_dedup_hits_total`.
-pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
+pub fn e15(distinct: usize, requests: usize, pairs: usize) -> ExperimentOutput {
     use crate::promstats::{diff_stages, scrape_server_stats};
     use crate::wire;
     use flogic_serve::{Server, ServerConfig};
@@ -1908,12 +1910,11 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
         &["mode", "stage", "count", "mean_us", "p50_us", "p99_us"],
     );
 
-    // 1. Overhead A/B: warm keep-alive total latency, access log off/on.
-    let mut total_p50 = [Duration::ZERO; 2];
-    for (slot, log) in [None, Some(log_path.display().to_string())]
-        .into_iter()
-        .enumerate()
-    {
+    // 1. Overhead A/B: warm keep-alive total latency, access log off/on,
+    // as `pairs` alternating off/on runs on fresh servers. One p50 of a
+    // few hundred requests wanders by more than 5% from run to run on a
+    // 2-vCPU VM, so the contract is checked on the median pair.
+    let warm_run = |log: Option<String>| {
         let (addr, handle, join) = spawn(log);
         let mut client = wire::Client::connect(&addr).expect("connect");
         for (q1, q2) in &base_texts {
@@ -1928,28 +1929,42 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
                 t0.elapsed()
             })
             .collect();
-        latencies.sort();
-        total_p50[slot] = latencies[latencies.len() / 2];
-        let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
-        let mean = latencies.iter().sum::<Duration>() / requests as u32;
         drop(client);
         handle.shutdown();
         join.join().expect("server thread").expect("clean drain");
+        latencies.sort();
+        latencies
+    };
+    let p50 = |latencies: &[Duration]| latencies[latencies.len() / 2];
+    let mut runs: Vec<[Vec<Duration>; 2]> = (0..pairs)
+        .map(|_| {
+            [
+                warm_run(None),
+                warm_run(Some(log_path.display().to_string())),
+            ]
+        })
+        .collect();
+    // How far a pair's log-on p50 lies past 5% over its log-off p50.
+    let excess =
+        |[off, on]: &[Vec<Duration>; 2]| p50(on).as_secs_f64() - 1.05 * p50(off).as_secs_f64();
+    runs.sort_by(|a, b| excess(a).total_cmp(&excess(b)));
+    let median = &runs[runs.len() / 2];
+    for (mode, latencies) in ["keepalive_log_off", "keepalive_log_on"]
+        .into_iter()
+        .zip(median)
+    {
+        let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
+        let mean = latencies.iter().sum::<Duration>() / requests as u32;
         t.push(vec![
-            if slot == 0 {
-                "keepalive_log_off"
-            } else {
-                "keepalive_log_on"
-            }
-            .into(),
+            mode.into(),
             "total".into(),
             requests.to_string(),
             micros(mean),
-            micros(total_p50[slot]),
+            micros(p50(latencies)),
             micros(p99),
         ]);
     }
-    let [off, on] = total_p50;
+    let (off, on) = (p50(&median[0]), p50(&median[1]));
     let overhead_pct = if off.is_zero() {
         0.0
     } else {
@@ -1959,7 +1974,8 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
     // scheduler jitter on a ~100 µs p50 cannot fail the run spuriously.
     assert!(
         on <= off.mul_f64(1.05) + Duration::from_micros(25),
-        "access log overhead breached the 5% contract: off {off:?}, on {on:?}"
+        "access log overhead breached the 5% contract on the median of {pairs} pairs: \
+         off {off:?}, on {on:?}"
     );
 
     // 2. Per-stage percentiles by transport mode, from the server's own
@@ -2066,7 +2082,8 @@ pub fn e15(distinct: usize, requests: usize) -> ExperimentOutput {
         tables: vec![t],
         notes: vec![format!(
             "{distinct} warm base pairs, {requests} measured requests per mode. \
-             keepalive_log_off/on rows are client-observed totals on one persistent connection \
+             keepalive_log_off/on rows are client-observed totals on one persistent connection, \
+             from the median of {pairs} alternating off/on pairs of fresh servers \
              (overhead {overhead_pct:+.1}%, asserted <= 5% + 25us jitter floor); per-stage rows \
              are the server's own histograms diffed across the measured window; the batch row \
              counts canonical q1 dedup hits for one batch of {distinct} bases x 4 spellings."

@@ -63,55 +63,6 @@ pub fn find_mandatory_cycles(conjuncts: &[Atom]) -> Vec<MandatoryCycle> {
     let mut nodes: Vec<Term> = edges.keys().copied().collect();
     nodes.sort();
 
-    // DFS from each node, only visiting nodes >= start (canonical cycles).
-    #[allow(clippy::too_many_arguments)] // recursive helper: state threads through
-    fn dfs(
-        start: Term,
-        current: Term,
-        edges: &HashMap<Term, Vec<(Term, Term)>>,
-        path_classes: &mut Vec<Term>,
-        path_attrs: &mut Vec<Term>,
-        on_path: &mut HashSet<Term>,
-        seen: &mut HashSet<Vec<Term>>,
-        cycles: &mut Vec<MandatoryCycle>,
-    ) {
-        let Some(outs) = edges.get(&current) else {
-            return;
-        };
-        for &(attr, next) in outs {
-            if next == start {
-                let mut key = path_classes.clone();
-                key.push(attr); // disambiguate same classes, different attrs
-                key.push(next);
-                if seen.insert(key) {
-                    let mut attrs = path_attrs.clone();
-                    attrs.push(attr);
-                    cycles.push(MandatoryCycle {
-                        classes: path_classes.clone(),
-                        attrs,
-                    });
-                }
-            } else if next >= start && !on_path.contains(&next) {
-                path_classes.push(next);
-                path_attrs.push(attr);
-                on_path.insert(next);
-                dfs(
-                    start,
-                    next,
-                    edges,
-                    path_classes,
-                    path_attrs,
-                    on_path,
-                    seen,
-                    cycles,
-                );
-                on_path.remove(&next);
-                path_attrs.pop();
-                path_classes.pop();
-            }
-        }
-    }
-
     for &start in &nodes {
         let mut path_classes = vec![start];
         let mut path_attrs = Vec::new();
@@ -128,6 +79,56 @@ pub fn find_mandatory_cycles(conjuncts: &[Atom]) -> Vec<MandatoryCycle> {
         );
     }
     cycles
+}
+
+/// Depth-first search for the cycles through `start`, only visiting nodes
+/// `>= start` (canonical cycles).
+#[allow(clippy::too_many_arguments)] // recursive helper: state threads through
+fn dfs(
+    start: Term,
+    current: Term,
+    edges: &HashMap<Term, Vec<(Term, Term)>>,
+    path_classes: &mut Vec<Term>,
+    path_attrs: &mut Vec<Term>,
+    on_path: &mut HashSet<Term>,
+    seen: &mut HashSet<Vec<Term>>,
+    cycles: &mut Vec<MandatoryCycle>,
+) {
+    let Some(outs) = edges.get(&current) else {
+        return;
+    };
+    for &(attr, next) in outs {
+        if next == start {
+            let mut key = path_classes.clone();
+            key.push(attr); // disambiguate same classes, different attrs
+            key.push(next);
+            if seen.insert(key) {
+                let mut attrs = path_attrs.clone();
+                attrs.push(attr);
+                cycles.push(MandatoryCycle {
+                    classes: path_classes.clone(),
+                    attrs,
+                });
+            }
+        } else if next >= start && !on_path.contains(&next) {
+            path_classes.push(next);
+            path_attrs.push(attr);
+            on_path.insert(next);
+            dfs(
+                start,
+                next,
+                edges,
+                path_classes,
+                path_attrs,
+                on_path,
+                seen,
+                cycles,
+            );
+            on_path.remove(&next);
+            path_attrs.pop();
+            path_classes.pop();
+        }
+    }
 }
 
 /// True if the chase of a query whose (level-0) conjuncts are `conjuncts`

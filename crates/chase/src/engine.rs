@@ -745,28 +745,28 @@ impl Chase {
             pinned: usize,
             pinned_id: ConjunctId,
             idx: usize,
-            s: Subst,
+            s: &Subst,
             matched: &mut Vec<ConjunctId>,
             found: &mut dyn FnMut(&Subst, &[ConjunctId]),
         ) {
             if idx == body.len() {
-                found(&s, matched);
+                found(s, matched);
                 return;
             }
             if idx == pinned {
                 let target = &chase.nodes[pinned_id.index()].atom;
-                if let Some(s2) = unify(&body[idx], target, &s) {
+                if let Some(s2) = unify(&body[idx], target, s) {
                     matched.push(pinned_id);
-                    rec(chase, body, pinned, pinned_id, idx + 1, s2, matched, found);
+                    rec(chase, body, pinned, pinned_id, idx + 1, &s2, matched, found);
                     matched.pop();
                 }
                 return;
             }
-            for &cid in chase.candidates(&body[idx], &s) {
+            for &cid in chase.candidates(&body[idx], s) {
                 let target = &chase.nodes[cid.index()].atom;
-                if let Some(s2) = unify(&body[idx], target, &s) {
+                if let Some(s2) = unify(&body[idx], target, s) {
                     matched.push(cid);
-                    rec(chase, body, pinned, pinned_id, idx + 1, s2, matched, found);
+                    rec(chase, body, pinned, pinned_id, idx + 1, &s2, matched, found);
                     matched.pop();
                 }
             }
@@ -779,7 +779,7 @@ impl Chase {
             pinned,
             pinned_id,
             0,
-            Subst::new(),
+            &Subst::new(),
             &mut matched,
             found,
         );
@@ -813,12 +813,11 @@ impl Chase {
                 let mut ex_image: Option<Term> = None;
                 head.args().iter().zip(witness.args()).all(|(&h, &w)| {
                     if h == ex {
-                        match ex_image {
-                            Some(img) => img == w,
-                            None => {
-                                ex_image = Some(w);
-                                true
-                            }
+                        if let Some(img) = ex_image {
+                            img == w
+                        } else {
+                            ex_image = Some(w);
+                            true
                         }
                     } else {
                         h == w
@@ -892,9 +891,7 @@ impl Chase {
                 .map(|chunk| {
                     scope.spawn(move || {
                         #[cfg(test)]
-                        if inject_panic {
-                            panic!("injected discovery worker panic");
-                        }
+                        assert!(!inject_panic, "injected discovery worker panic");
                         let mut out = Vec::new();
                         for &id in chunk {
                             self.collect_candidates(tgds, id, &mut out);
@@ -945,7 +942,7 @@ impl Chase {
     /// checked per candidate because it is the deterministic limit.
     fn run(&mut self, tgds: &[&Tgd], opts: &ChaseOptions) -> Result<(), ChaseError> {
         let threads = if opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             opts.threads
         };

@@ -76,18 +76,21 @@ impl Budget {
     }
 
     /// Sets the step cap (builder style).
+    #[must_use]
     pub fn steps(mut self, max_steps: u64) -> Budget {
         self.max_steps = Some(max_steps);
         self
     }
 
     /// Sets the approximate byte cap (builder style).
+    #[must_use]
     pub fn bytes(mut self, max_bytes: usize) -> Budget {
         self.max_bytes = Some(max_bytes);
         self
     }
 
     /// Attaches a cancellation token (builder style).
+    #[must_use]
     pub fn cancelled_by(mut self, token: CancelToken) -> Budget {
         self.cancel = token;
         self

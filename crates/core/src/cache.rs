@@ -40,7 +40,7 @@
 //! query, not its core, and must never be replayed across bounds.
 
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::LazyLock;
 
@@ -54,62 +54,150 @@ use crate::recency::RecencyCache;
 use crate::snapshot::ChaseSnapshot;
 use crate::CoreError;
 
-/// Ordering key for an atom *under a partial variable numbering*:
-/// constants sort by name, numbered variables by their number, and
-/// not-yet-numbered variables by their first-occurrence pattern within
-/// the atom (so `sub(U, U)` and `sub(U, V)` stay distinguishable).
-/// Derived `Ord` puts `Const < Null < Var < Fresh`, which mirrors how the
-/// terms compare once the fresh variables are numbered: freshly numbered
-/// variables always receive indices above every already-numbered one, so
-/// minimising `atom_key`s is the same as minimising emitted encodings.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// Ordering key for one argument of an atom *under a partial variable
+/// numbering*: constants sort by name, numbered variables by their
+/// number, and not-yet-numbered variables by their first-occurrence
+/// pattern within the atom (so `sub(U, U)` and `sub(U, V)` stay
+/// distinguishable). Derived `Ord` puts `Const < Null < Var < Fresh`,
+/// which mirrors how the terms compare once the fresh variables are
+/// numbered: freshly numbered variables always receive indices above
+/// every already-numbered one, so minimising `atom_key`s is the same as
+/// minimising emitted encodings.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum KeyTerm {
-    Const(&'static str),
+    Const(Symbol),
     Null(u64),
     Var(u32),
     Fresh(u32),
 }
 
-/// An atom encoded under a *complete* numbering (no `Fresh` inside):
-/// one entry of the canonical encoding the search minimises.
-type EncodedAtom = (usize, Vec<KeyTerm>);
+/// An atom encoded under a numbering: its predicate, then its arguments.
+/// A `P_FL` atom has at most three arguments and all atoms of one
+/// predicate have one arity, so a two-argument atom leaves the same
+/// filler in its third slot and keys compare as argument lists do.
+type EncodedAtom = (usize, [KeyTerm; 3]);
 
-fn atom_key(atom: &Atom, numbering: &HashMap<Symbol, u32>) -> EncodedAtom {
-    let mut local: HashMap<Symbol, u32> = HashMap::new();
-    let args = atom
-        .args()
-        .iter()
-        .map(|t| match t {
-            Term::Const(s) => KeyTerm::Const(s.as_str()),
-            Term::Null(n) => KeyTerm::Null(n.0),
-            Term::Var(v) => match numbering.get(v) {
-                Some(&n) => KeyTerm::Var(n),
-                None => {
-                    let next = local.len() as u32;
-                    KeyTerm::Fresh(*local.entry(*v).or_insert(next))
+/// Marks an argument in [`VarIds`] that is a value, not a variable.
+const VALUE: u32 = u32::MAX;
+
+/// A query's variables by dense id (head first, then body, in order of
+/// first occurrence), so that numbering a variable is an index into a
+/// table, not a lookup.
+struct VarIds {
+    head: Vec<u32>,
+    /// Each body atom's argument ids.
+    body: Vec<[u32; 3]>,
+    count: usize,
+}
+
+impl VarIds {
+    fn of(q: &ConjunctiveQuery) -> VarIds {
+        let mut vars: Vec<Symbol> = Vec::new();
+        let mut id = |t: Term| match t {
+            Term::Var(v) => {
+                let id = vars.iter().position(|&u| u == v).unwrap_or_else(|| {
+                    vars.push(v);
+                    vars.len() - 1
+                });
+                u32::try_from(id).expect("fewer variables than ids")
+            }
+            _ => VALUE,
+        };
+        let head = q.head().iter().map(|&t| id(t)).collect();
+        let body = q
+            .body()
+            .iter()
+            .map(|a| {
+                let mut ids = [VALUE; 3];
+                for (slot, &t) in ids.iter_mut().zip(a.args()) {
+                    *slot = id(t);
                 }
-            },
+                ids
+            })
+            .collect();
+        VarIds {
+            head,
+            body,
+            count: vars.len(),
+        }
+    }
+}
+
+/// The numbers given so far, by variable id. A tie branch numbers more
+/// variables and truncates back to where it started.
+struct Numbering {
+    numbers: Vec<Option<u32>>,
+    /// The numbered ids, in numbering order.
+    order: Vec<u32>,
+}
+
+impl Numbering {
+    fn new(vars: usize) -> Numbering {
+        Numbering {
+            numbers: vec![None; vars],
+            order: Vec::with_capacity(vars),
+        }
+    }
+
+    fn get(&self, id: u32) -> Option<u32> {
+        self.numbers[id as usize]
+    }
+
+    /// The number of variable `id`, giving it the next one on first sight.
+    fn number(&mut self, id: u32) -> u32 {
+        *self.numbers[id as usize].get_or_insert_with(|| {
+            self.order.push(id);
+            self.order.len() as u32 - 1
         })
-        .collect();
-    (atom.pred().index(), args)
+    }
+
+    /// Forgets every number given after the first `len`.
+    fn truncate(&mut self, len: usize) {
+        for id in self.order.drain(len..) {
+            self.numbers[id as usize] = None;
+        }
+    }
+}
+
+/// The key of a value: a constant by name, a null by id.
+fn value_key(t: Term) -> KeyTerm {
+    match t {
+        Term::Const(s) => KeyTerm::Const(s),
+        Term::Null(n) => KeyTerm::Null(n.0),
+        Term::Var(_) => unreachable!("variables are keyed by their numbers"),
+    }
+}
+
+fn atom_key(atom: &Atom, ids: &[u32; 3], numbering: &Numbering) -> EncodedAtom {
+    let mut key = [KeyTerm::Fresh(0); 3];
+    let mut fresh = 0;
+    for (i, (&t, &id)) in atom.args().iter().zip(ids).enumerate() {
+        key[i] = if id == VALUE {
+            value_key(t)
+        } else if let Some(n) = numbering.get(id) {
+            KeyTerm::Var(n)
+        } else if let Some(first) = ids[..i].iter().position(|&u| u == id) {
+            key[first]
+        } else {
+            fresh += 1;
+            KeyTerm::Fresh(fresh - 1)
+        };
+    }
+    (atom.pred().index(), key)
 }
 
 /// Numbers an atom's variables into `numbering` (extending it with fresh
 /// indices in argument order) and returns the fully-numbered encoding.
-fn number_atom(atom: &Atom, numbering: &mut HashMap<Symbol, u32>) -> EncodedAtom {
-    let args = atom
-        .args()
-        .iter()
-        .map(|t| match t {
-            Term::Const(s) => KeyTerm::Const(s.as_str()),
-            Term::Null(n) => KeyTerm::Null(n.0),
-            Term::Var(v) => {
-                let next = numbering.len() as u32;
-                KeyTerm::Var(*numbering.entry(*v).or_insert(next))
-            }
-        })
-        .collect();
-    (atom.pred().index(), args)
+fn number_atom(atom: &Atom, ids: &[u32; 3], numbering: &mut Numbering) -> EncodedAtom {
+    let mut key = [KeyTerm::Fresh(0); 3];
+    for ((slot, &t), &id) in key.iter_mut().zip(atom.args()).zip(ids) {
+        *slot = if id == VALUE {
+            value_key(t)
+        } else {
+            KeyTerm::Var(numbering.number(id))
+        };
+    }
+    (atom.pred().index(), key)
 }
 
 /// Cap on the number of *extra* branches (beyond the greedy first choice)
@@ -122,87 +210,110 @@ const CANON_NODE_BUDGET: usize = 512;
 
 /// Backtracking search for the lexicographically least body encoding.
 ///
-/// Each round computes every remaining atom's [`atom_key`] **once**
-/// (the earlier greedy pass rebuilt both sides' keys inside every
-/// `min_by` comparison — O(n³) key builds on wide bodies; this is O(n²)
-/// plus whatever tie branches the budget admits). Because `atom_key`
-/// ordering agrees with emitted-encoding ordering (see [`KeyTerm`]), the
-/// minimal-key atoms are exactly the candidates for the least encoding's
-/// next entry, so restricting branching to them loses nothing.
+/// Each round computes every remaining atom's [`atom_key`] **once**.
+/// Because `atom_key` ordering agrees with emitted-encoding ordering (see
+/// [`KeyTerm`]), the minimal-key atoms are exactly the candidates for the
+/// least encoding's next entry, so restricting branching to them loses
+/// nothing. A round with one such atom emits it and goes on; only a tie
+/// copies the remaining atoms, once per branch.
 struct CanonSearch<'a> {
     atoms: &'a [Atom],
+    ids: &'a [[u32; 3]],
     budget: usize,
+    /// The numbering of the branch being explored.
+    numbering: &'a mut Numbering,
 }
 
 impl CanonSearch<'_> {
     /// The emission order (indices into `self.atoms`) of the least
-    /// encoding reachable within budget, starting from `numbering`.
-    fn emission_order(mut self, numbering: &HashMap<Symbol, u32>) -> Vec<usize> {
-        let remaining: Vec<usize> = (0..self.atoms.len()).collect();
-        self.search(&remaining, numbering).1
+    /// encoding reachable within budget from `self.numbering`, which is
+    /// left as it was found.
+    fn emission_order(mut self) -> Vec<usize> {
+        let mark = self.numbering.order.len();
+        let mut remaining: Vec<usize> = (0..self.atoms.len()).collect();
+        let mut encoding = Vec::with_capacity(remaining.len());
+        let mut order = Vec::with_capacity(remaining.len());
+        self.search(&mut remaining, &mut encoding, &mut order);
+        self.numbering.truncate(mark);
+        order
     }
 
+    /// Appends the least encoding of the atoms in `remaining` and the
+    /// order that emits it to `encoding` and `order`, emptying
+    /// `remaining`. The numbering it leaves behind is only meaningful
+    /// when no tie was branched on.
     fn search(
         &mut self,
-        remaining: &[usize],
-        numbering: &HashMap<Symbol, u32>,
-    ) -> (Vec<EncodedAtom>, Vec<usize>) {
-        if remaining.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        let keys: Vec<EncodedAtom> = remaining
-            .iter()
-            .map(|&i| atom_key(&self.atoms[i], numbering))
-            .collect();
-        let min = keys.iter().min().expect("remaining is non-empty");
+        remaining: &mut Vec<usize>,
+        encoding: &mut Vec<EncodedAtom>,
+        order: &mut Vec<usize>,
+    ) {
         // Tied positions, deduplicated: literally identical atoms lead to
         // identical states, so exploring one of them suffices.
         let mut tied: Vec<usize> = Vec::new();
-        for (pos, key) in keys.iter().enumerate() {
-            if key == min
-                && !tied
-                    .iter()
-                    .any(|&p| self.atoms[remaining[p]] == self.atoms[remaining[pos]])
-            {
-                tied.push(pos);
+        while !remaining.is_empty() {
+            let mut min = None;
+            tied.clear();
+            for (pos, &i) in remaining.iter().enumerate() {
+                let key = atom_key(&self.atoms[i], &self.ids[i], self.numbering);
+                match min.as_ref().map_or(Ordering::Less, |m| key.cmp(m)) {
+                    Ordering::Less => {
+                        min = Some(key);
+                        tied.clear();
+                        tied.push(pos);
+                    }
+                    Ordering::Equal
+                        if !tied
+                            .iter()
+                            .any(|&p| self.atoms[remaining[p]] == self.atoms[i]) =>
+                    {
+                        tied.push(pos);
+                    }
+                    _ => {}
+                }
             }
-        }
-        let take = tied.len().min(self.budget + 1);
-        self.budget -= take - 1;
-        let mut best: Option<(Vec<EncodedAtom>, Vec<usize>)> = None;
-        for &pos in &tied[..take] {
-            let idx = remaining[pos];
-            let mut extended = numbering.clone();
-            let entry = number_atom(&self.atoms[idx], &mut extended);
-            let rest: Vec<usize> = remaining.iter().copied().filter(|&j| j != idx).collect();
-            let (tail, order) = self.search(&rest, &extended);
-            let mut enc = Vec::with_capacity(tail.len() + 1);
-            enc.push(entry);
-            enc.extend(tail);
-            let better = match &best {
-                None => true,
-                Some((b, _)) => enc < *b,
-            };
-            if better {
-                let mut ord = Vec::with_capacity(order.len() + 1);
-                ord.push(idx);
-                ord.extend(order);
-                best = Some((enc, ord));
+            if let [pos] = tied[..] {
+                let idx = remaining.remove(pos);
+                encoding.push(self.number(idx));
+                order.push(idx);
+                continue;
             }
+            let take = tied.len().min(self.budget + 1);
+            self.budget -= take - 1;
+            let mark = self.numbering.order.len();
+            let mut best: Option<(Vec<EncodedAtom>, Vec<usize>)> = None;
+            for &pos in &tied[..take] {
+                let mut rest = remaining.clone();
+                let idx = rest.remove(pos);
+                let mut enc = vec![self.number(idx)];
+                let mut ord = vec![idx];
+                self.search(&mut rest, &mut enc, &mut ord);
+                self.numbering.truncate(mark);
+                if best.as_ref().map_or(true, |(b, _)| enc < *b) {
+                    best = Some((enc, ord));
+                }
+            }
+            let (enc, ord) = best.expect("at least one branch explored");
+            encoding.extend(enc);
+            order.extend(ord);
+            remaining.clear();
         }
-        best.expect("at least one branch explored")
+    }
+
+    fn number(&mut self, idx: usize) -> EncodedAtom {
+        number_atom(&self.atoms[idx], &self.ids[idx], self.numbering)
     }
 }
 
-/// Writes one `canon_query` term: a variable by its first-occurrence
-/// index, numbering it on first sight; anything else as values do.
-fn emit_term(out: &mut Vec<u8>, t: &Term, numbering: &mut HashMap<Symbol, u32>) {
-    if let Term::Var(v) = t {
-        let next = numbering.len() as u32;
-        out.push(2);
-        put_u32(out, *numbering.entry(*v).or_insert(next));
-    } else {
+/// Writes one `canon_query` term: a variable (`id` other than [`VALUE`])
+/// by its first-occurrence number, numbering it on first sight; anything
+/// else as values are written.
+fn emit_term(out: &mut Vec<u8>, t: &Term, id: u32, numbering: &mut Numbering) {
+    if id == VALUE {
         put_term(out, t);
+    } else {
+        out.push(2);
+        put_u32(out, numbering.number(id));
     }
 }
 
@@ -210,29 +321,49 @@ fn emit_term(out: &mut Vec<u8>, t: &Term, numbering: &mut HashMap<Symbol, u32>) 
 /// variables numbered in head order (the head is the one part of a query
 /// whose order is semantically fixed), then the body atoms in the order
 /// [`CanonSearch`] finds, each extending the numbering with its fresh
-/// variables. Returns that emission order (indices into `q.body()`) and
-/// the final numbering.
-fn canonicalize(q: &ConjunctiveQuery, out: &mut Vec<u8>) -> (Vec<usize>, HashMap<Symbol, u32>) {
-    let mut numbering: HashMap<Symbol, u32> = HashMap::new();
+/// variables. Returns that emission order (indices into `q.body()`), the
+/// query's variable ids and the final numbering.
+fn canonicalize(q: &ConjunctiveQuery, out: &mut Vec<u8>) -> (Vec<usize>, VarIds, Numbering) {
+    let ids = VarIds::of(q);
+    let mut numbering = Numbering::new(ids.count);
     put_u32(out, q.head().len() as u32);
-    for t in q.head() {
-        emit_term(out, t, &mut numbering);
+    for (t, &id) in q.head().iter().zip(&ids.head) {
+        emit_term(out, t, id, &mut numbering);
     }
     let order = CanonSearch {
         atoms: q.body(),
+        ids: &ids.body,
         budget: CANON_NODE_BUDGET,
+        numbering: &mut numbering,
     }
-    .emission_order(&numbering);
+    .emission_order();
     put_u32(out, order.len() as u32);
     for &i in &order {
         let atom = &q.body()[i];
         out.push(atom.pred().index() as u8);
         put_u32(out, atom.args().len() as u32);
-        for t in atom.args() {
-            emit_term(out, t, &mut numbering);
+        for (t, &id) in atom.args().iter().zip(&ids.body[i]) {
+            emit_term(out, t, id, &mut numbering);
         }
     }
-    (order, numbering)
+    (order, ids, numbering)
+}
+
+/// How many canonical variable names are interned up front.
+const CANONICAL_NAMES: u32 = 64;
+
+/// Canonical variable `n`: `C0`, `C1`, …, the first
+/// [`CANONICAL_NAMES`] of them interned once per process.
+fn canonical_var(n: u32) -> Term {
+    static NAMES: LazyLock<Vec<Term>> = LazyLock::new(|| {
+        (0..CANONICAL_NAMES)
+            .map(|n| Term::var(&format!("C{n}")))
+            .collect()
+    });
+    NAMES
+        .get(n as usize)
+        .copied()
+        .unwrap_or_else(|| Term::var(&format!("C{n}")))
 }
 
 /// One query canonicalized once: its half of a [`DecisionKey`].
@@ -250,19 +381,25 @@ impl Half {
         let core = semantic.then(|| classic_core(q));
         let q = core.as_ref().unwrap_or(q);
         let mut bytes = Vec::with_capacity(64);
-        let (order, numbering) = canonicalize(q, &mut bytes);
+        let (order, ids, numbering) = canonicalize(q, &mut bytes);
         let representative = with_representative.then(|| {
-            let rename = |t: &Term| match t {
-                Term::Var(v) => Term::var(&format!("C{}", numbering[v])),
-                other => *other,
+            let rename = |t: Term, id: u32| {
+                if id == VALUE {
+                    t
+                } else {
+                    canonical_var(numbering.get(id).expect("every variable is numbered"))
+                }
             };
-            let body = order.iter().map(|&i| {
-                let (pred, args) = (q.body()[i].pred(), q.body()[i].args());
-                Atom::new(pred, &args.iter().map(rename).collect::<Vec<_>>())
-                    .expect("renaming preserves arity")
-            });
-            let head = q.head().iter().map(rename).collect();
-            ConjunctiveQuery::new(q.name(), head, body.collect())
+            let body = order
+                .iter()
+                .map(|&i| {
+                    let mut ids = ids.body[i].into_iter();
+                    q.body()[i].map(|t| rename(t, ids.next().expect("one id per argument")))
+                })
+                .collect();
+            let head = q.head().iter().zip(&ids.head);
+            let head = head.map(|(&t, &id)| rename(t, id)).collect();
+            ConjunctiveQuery::new(q.name(), head, body)
                 .expect("canonical renaming preserves well-formedness")
         });
         Half {

@@ -128,7 +128,7 @@ pub fn random_query<R: Rng>(cfg: &QueryGenConfig, rng: &mut R) -> ConjunctiveQue
         body.push(Atom::member(var, pick_term(cfg, rng)));
     }
     let body_vars: Vec<Term> = {
-        let mut vs: Vec<Term> = body.iter().flat_map(|a| a.vars()).collect();
+        let mut vs: Vec<Term> = body.iter().flat_map(Atom::vars).collect();
         vs.sort();
         vs.dedup();
         vs
@@ -231,7 +231,7 @@ fn generalize_atoms<R: Rng>(
     // homomorphism exists by construction. Fresh names must avoid the
     // variables already present in the source (a previous generalization
     // round may have introduced `G*` names of its own).
-    let used: std::collections::HashSet<Term> = atoms.iter().flat_map(|a| a.vars()).collect();
+    let used: std::collections::HashSet<Term> = atoms.iter().flat_map(Atom::vars).collect();
     let mut fresh = 0usize;
     let mut next_fresh = move || loop {
         fresh += 1;
@@ -347,7 +347,7 @@ pub fn add_redundant_atoms<R: Rng>(
     n: usize,
     rng: &mut R,
 ) -> ConjunctiveQuery {
-    let used: std::collections::HashSet<Term> = q.body().iter().flat_map(|a| a.vars()).collect();
+    let used: std::collections::HashSet<Term> = q.body().iter().flat_map(Atom::vars).collect();
     let mut fresh = 0usize;
     let mut next_fresh = move || loop {
         fresh += 1;
@@ -565,7 +565,7 @@ pub fn random_rule_set<R: Rng>(cfg: &SigmaGenConfig, rng: &mut R) -> RuleSet {
             body.push(Atom::new(pred, &args).expect("arity matches by construction"));
         }
         let body_vars: Vec<Term> = {
-            let mut vs: Vec<Term> = body.iter().flat_map(|a| a.vars()).collect();
+            let mut vs: Vec<Term> = body.iter().flat_map(Atom::vars).collect();
             vs.sort();
             vs.dedup();
             vs
@@ -754,7 +754,7 @@ mod tests {
             let set = random_rule_set(&cfg, &mut rng(seed));
             assert_eq!(set.len(), cfg.n_rules);
             for rule in set.rules() {
-                let body_vars: Vec<Term> = rule.body().iter().flat_map(|a| a.vars()).collect();
+                let body_vars: Vec<Term> = rule.body().iter().flat_map(Atom::vars).collect();
                 match rule {
                     SigmaRule::Egd(e) => {
                         assert!(body_vars.contains(&e.left));

@@ -5,60 +5,156 @@ use flogic_term::{Subst, Term};
 
 use crate::AtomIndex;
 
-/// Tries to extend `s` so that the image of `pattern` under the extended
-/// binding equals `target`. Source constants are fixed (Definition 1);
-/// source variables bind to arbitrary target terms.
-///
-/// The binding is keyed strictly by *source* variables and consulted with
-/// [`Subst::get`], never by rewriting the pattern first: the image of a
-/// source variable may itself be a variable (chases contain the chased
+/// Marks an argument of [`Binding::slots`] that is not a variable.
+const FIXED: u32 = u32::MAX;
+
+/// What the search calls on every homomorphism it finds; returning `true`
+/// stops the search.
+pub(crate) type OnHom<'a> = &'a mut dyn FnMut(&Binding<'_>) -> bool;
+
+/// One search's bindings, keyed strictly by *source* variable: each
+/// distinct source variable gets a slot, and a source argument is looked
+/// up through its slot, never by rewriting the pattern first. The image of
+/// a source variable may itself be a variable (chases contain the chased
 /// query's variables as values, and query minimisation folds a query into
-/// itself), and a rewritten pattern could not tell such an image apart from
-/// an unbound source variable — it would be spuriously re-bound instead of
-/// compared.
-fn unify(pattern: &Atom, target: &Atom, s: &Subst) -> Option<Subst> {
-    if pattern.pred() != target.pred() {
-        return None;
-    }
-    let mut out = s.clone();
-    for (&p, &t) in pattern.args().iter().zip(target.args()) {
-        if p.is_var() {
-            match out.get(p) {
-                Some(image) => {
-                    if image != t {
-                        return None;
-                    }
-                }
-                None => out.bind_strict(p, t),
-            }
-        } else if p != t {
-            return None;
-        }
-    }
-    Some(out)
+/// itself), and a rewritten pattern could not tell such an image apart
+/// from an undecided source variable — it would be spuriously re-bound
+/// instead of compared.
+///
+/// Deciding a slot pushes it on a trail, and backtracking pops the trail
+/// back to a mark, so no candidate copies a map; a [`Subst`] is built only
+/// for a homomorphism that is found.
+pub(crate) struct Binding<'a> {
+    source: &'a [Atom],
+    /// Each source atom's argument slots, [`FIXED`] for a constant or a
+    /// null.
+    slots: Vec<[u32; 3]>,
+    /// The source variable of each slot, and its image once decided.
+    vars: Vec<(Term, Option<Term>)>,
+    /// The decided slots, in the order they were decided.
+    trail: Vec<u32>,
 }
 
-/// Seeds a binding from the head constraint: `source_head[i]` must map to
-/// `target_head[i]`. Returns `None` when a source constant clashes. The
-/// same strict keyed-by-source-variable discipline as [`unify`] applies.
-fn head_binding(source_head: &[Term], target_head: &[Term]) -> Option<Subst> {
-    debug_assert_eq!(source_head.len(), target_head.len());
-    let mut s = Subst::new();
-    for (&sh, &th) in source_head.iter().zip(target_head) {
-        if sh.is_var() {
-            match s.get(sh) {
-                Some(image) => {
-                    if image != th {
-                        return None;
-                    }
-                }
-                None => s.bind_strict(sh, th),
-            }
-        } else if sh != th {
+impl<'a> Binding<'a> {
+    /// Numbers the variables of `source_head` and `source`, and seeds the
+    /// binding from the head constraint: `source_head[i]` must map to
+    /// `target_head[i]`. Returns `None` when the heads' lengths differ or
+    /// a source constant clashes.
+    pub(crate) fn new(
+        source: &'a [Atom],
+        source_head: &[Term],
+        target_head: &[Term],
+    ) -> Option<Self> {
+        if source_head.len() != target_head.len() {
             return None;
         }
+        let mut binding = Binding {
+            source,
+            slots: Vec::with_capacity(source.len()),
+            vars: Vec::new(),
+            trail: Vec::new(),
+        };
+        for (&sh, &th) in source_head.iter().zip(target_head) {
+            let slot = binding.slot_of(sh);
+            if !binding.bind(slot, sh, th) {
+                return None;
+            }
+        }
+        for a in source {
+            let mut slots = [FIXED; 3];
+            for (slot, &t) in slots.iter_mut().zip(a.args()) {
+                *slot = binding.slot_of(t);
+            }
+            binding.slots.push(slots);
+        }
+        Some(binding)
     }
-    Some(s)
+
+    /// The slot of source term `t`, giving a variable the next one on
+    /// first sight; [`FIXED`] for a constant or a null.
+    fn slot_of(&mut self, t: Term) -> u32 {
+        if !t.is_var() {
+            return FIXED;
+        }
+        let slot = self.vars.iter().position(|&(v, _)| v == t);
+        let slot = slot.unwrap_or_else(|| {
+            self.vars.push((t, None));
+            self.vars.len() - 1
+        });
+        u32::try_from(slot).expect("fewer source variables than slots")
+    }
+
+    /// Requires the source term `p`, whose slot is `slot`, to map to `t`.
+    /// Source constants are fixed (Definition 1); a decided variable must
+    /// agree with its image; an undecided one is decided.
+    fn bind(&mut self, slot: u32, p: Term, t: Term) -> bool {
+        if slot == FIXED {
+            return p == t;
+        }
+        let image = &mut self.vars[slot as usize].1;
+        if let Some(decided) = *image {
+            return decided == t;
+        }
+        *image = Some(t);
+        self.trail.push(slot);
+        true
+    }
+
+    /// How many slots are decided: a mark to [`undo`](Binding::undo) to.
+    pub(crate) fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Undecides every slot decided after the first `mark`.
+    pub(crate) fn undo(&mut self, mark: usize) {
+        for slot in self.trail.drain(mark..) {
+            self.vars[slot as usize].1 = None;
+        }
+    }
+
+    /// Tries to extend the binding so that the image of source atom `i`
+    /// equals `target`. On failure the binding is left as it was.
+    fn unify(&mut self, i: usize, target: &Atom) -> bool {
+        let (pattern, slots) = (self.source[i], self.slots[i]);
+        if pattern.pred() != target.pred() {
+            return false;
+        }
+        let mark = self.mark();
+        let ok = pattern
+            .args()
+            .iter()
+            .zip(target.args())
+            .zip(slots)
+            .all(|((&p, &t), slot)| self.bind(slot, p, t));
+        if !ok {
+            self.undo(mark);
+        }
+        ok
+    }
+
+    /// Source atom `i` with its decided variables replaced by their
+    /// images. It is used for *index retrieval only* (decided variables
+    /// make positions selective); unification always runs against the
+    /// original atom, so that variable images are compared, never
+    /// re-bound.
+    fn probe(&self, i: usize) -> Atom {
+        let mut slots = self.slots[i].into_iter();
+        self.source[i].map(|t| match slots.next() {
+            Some(slot) if slot != FIXED => self.vars[slot as usize].1.unwrap_or(t),
+            _ => t,
+        })
+    }
+
+    /// The homomorphism decided: every decided source variable, bound
+    /// with [`Subst::bind_strict`].
+    fn to_subst(&self) -> Subst {
+        let mut s = Subst::new();
+        for &slot in &self.trail {
+            let (var, image) = self.vars[slot as usize];
+            s.bind_strict(var, image.expect("trailed slots are decided"));
+        }
+        s
+    }
 }
 
 /// What one homomorphism search did (see [`find_hom_counted`]).
@@ -73,47 +169,68 @@ pub struct HomStats {
     pub prunes: u64,
 }
 
-/// Depth-first search with dynamic fewest-candidates-first atom ordering.
-/// `found` returning `true` stops the search. `stats` only counts: it
-/// never influences atom ordering or candidate enumeration.
-fn search<T: AtomIndex>(
-    source: &[Atom],
+/// Depth-first search with dynamic fewest-candidates-first atom ordering,
+/// mapping the source atoms `remaining` names. `found` returning `true`
+/// stops the search and keeps the binding of the homomorphism it was
+/// given; otherwise the binding ends as it started. `remaining` always
+/// ends as it started.
+/// `stats` only counts: it never influences atom ordering or candidate
+/// enumeration.
+pub(crate) fn search<T: AtomIndex>(
+    binding: &mut Binding<'_>,
     target: &T,
-    s: Subst,
     remaining: &mut Vec<usize>,
     stats: &mut HomStats,
-    found: &mut dyn FnMut(&Subst) -> bool,
+    found: OnHom<'_>,
 ) -> bool {
-    let Some(best_slot) = (0..remaining.len()).min_by_key(|&slot| {
-        let atom = source[remaining[slot]].apply(&s);
-        target.candidates(&atom).len()
-    }) else {
-        return found(&s);
+    let Some(best) =
+        (0..remaining.len()).min_by_key(|&pos| target.count(&binding.probe(remaining[pos])))
+    else {
+        return found(binding);
     };
-    let atom_idx = remaining.swap_remove(best_slot);
-    // The applied pattern is used for *index retrieval only* (bound
-    // variables with ground images make positions selective); unification
-    // always runs against the original atom so that variable images are
-    // compared, never re-bound.
-    let index_probe = source[atom_idx].apply(&s);
+    let atom_idx = remaining.swap_remove(best);
+    let index_probe = binding.probe(atom_idx);
+    let mut done = false;
     for &cand in target.candidates(&index_probe) {
-        if let Some(s2) = unify(&source[atom_idx], target.atom(cand), &s) {
+        if !target.admits(cand) {
+            continue;
+        }
+        let mark = binding.mark();
+        if binding.unify(atom_idx, target.atom(cand)) {
             stats.expansions += 1;
-            if search(source, target, s2, remaining, stats, found) {
-                remaining.push(atom_idx); // restore before unwinding
-                let last = remaining.len() - 1;
-                remaining.swap(best_slot.min(last), last);
-                return true;
+            done = search(binding, target, remaining, stats, found);
+            if done {
+                break;
             }
+            binding.undo(mark);
         } else {
             stats.prunes += 1;
         }
     }
-    stats.backtracks += 1;
+    if !done {
+        stats.backtracks += 1;
+    }
     remaining.push(atom_idx);
     let last = remaining.len() - 1;
-    remaining.swap(best_slot.min(last), last);
-    false
+    remaining.swap(best.min(last), last);
+    done
+}
+
+/// Runs [`search`] from the head constraint, calling `found` on each
+/// homomorphism until it returns `true`.
+fn run<T: AtomIndex>(
+    source: &[Atom],
+    source_head: &[Term],
+    target: &T,
+    target_head: &[Term],
+    stats: &mut HomStats,
+    found: OnHom<'_>,
+) {
+    let Some(mut binding) = Binding::new(source, source_head, target_head) else {
+        return;
+    };
+    let mut remaining: Vec<usize> = (0..source.len()).collect();
+    search(&mut binding, target, &mut remaining, stats, found);
 }
 
 /// Finds a homomorphism from `source` atoms into `target` that also maps
@@ -149,22 +266,15 @@ pub fn find_hom_counted<T: AtomIndex>(
     target_head: &[Term],
 ) -> (Option<Subst>, HomStats) {
     let mut stats = HomStats::default();
-    let seed = (source_head.len() == target_head.len())
-        .then(|| head_binding(source_head, target_head))
-        .flatten();
-    let Some(seed) = seed else {
-        return (None, stats);
-    };
-    let mut remaining: Vec<usize> = (0..source.len()).collect();
     let mut result = None;
-    search(
+    run(
         source,
+        source_head,
         target,
-        seed,
-        &mut remaining,
+        target_head,
         &mut stats,
         &mut |hom| {
-            result = Some(hom.clone());
+            result = Some(hom.to_subst());
             true
         },
     );
@@ -185,20 +295,15 @@ pub fn all_homs<T: AtomIndex>(
     target_head: &[Term],
     limit: usize,
 ) -> Vec<Subst> {
-    let Some(seed) = head_binding(source_head, target_head) else {
-        return Vec::new();
-    };
-    let mut remaining: Vec<usize> = (0..source.len()).collect();
     let mut out = Vec::new();
-    let mut stats = HomStats::default();
-    search(
+    run(
         source,
+        source_head,
         target,
-        seed,
-        &mut remaining,
-        &mut stats,
+        target_head,
+        &mut HomStats::default(),
         &mut |hom| {
-            out.push(hom.clone());
+            out.push(hom.to_subst());
             out.len() >= limit
         },
     );
@@ -212,18 +317,13 @@ pub fn count_homs<T: AtomIndex>(
     target: &T,
     target_head: &[Term],
 ) -> usize {
-    let Some(seed) = head_binding(source_head, target_head) else {
-        return 0;
-    };
-    let mut remaining: Vec<usize> = (0..source.len()).collect();
     let mut n = 0usize;
-    let mut stats = HomStats::default();
-    search(
+    run(
         source,
+        source_head,
         target,
-        seed,
-        &mut remaining,
-        &mut stats,
+        target_head,
+        &mut HomStats::default(),
         &mut |_| {
             n += 1;
             false

@@ -11,6 +11,14 @@ use flogic_term::Term;
 /// [`Target`] implements it for query bodies and databases, and
 /// [`Chase`] for its own live conjuncts, so a chase is searched in place
 /// through the index it already keeps for rule matching.
+///
+/// An index may also stand for a *subset* of the atoms it lists: the
+/// search skips every candidate [`admits`](AtomIndex::admits) rejects and
+/// orders source atoms by [`count`](AtomIndex::count). Both default to
+/// the whole index, which is what [`Target`] and [`Chase`] are;
+/// [`classic_core`](crate::classic_core) overrides them to search one
+/// index of a body with its dropped atoms masked, in the same order and
+/// with the same choices as an index rebuilt without them.
 pub trait AtomIndex {
     /// The handle an index list holds for one atom.
     type Id: Copy;
@@ -24,6 +32,17 @@ pub trait AtomIndex {
 
     /// The atom `id` names.
     fn atom(&self, id: Self::Id) -> &Atom;
+
+    /// Whether candidate `id` belongs to the atoms searched.
+    fn admits(&self, _id: Self::Id) -> bool {
+        true
+    }
+
+    /// How many admitted candidates `probe` has: the measure the search
+    /// picks its next source atom by, fewest first.
+    fn count(&self, probe: &Atom) -> usize {
+        self.candidates(probe).len()
+    }
 }
 
 /// An indexed set of target atoms for homomorphism search.
@@ -93,6 +112,32 @@ impl Target {
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
     }
+
+    /// The length [`candidates`](AtomIndex::candidates) would return for
+    /// `probe` on a target built without the atoms `masked` names: the
+    /// fewest, over its non-variable positions, of that position's list
+    /// less the masked atoms on it; or its predicate's list less the
+    /// masked atoms of that predicate when every position is a variable.
+    /// It reads the masked atoms, not the lists, so it costs the same on
+    /// a long list as on a short one.
+    pub(crate) fn count_without(&self, probe: &Atom, masked: &[usize]) -> usize {
+        let pred = probe.pred();
+        let masked_on = |pos: Option<usize>| {
+            let on = |a: &Atom| pos.map_or(true, |p| a.arg(p) == probe.arg(p));
+            masked
+                .iter()
+                .filter(|&&id| self.atoms[id].pred() == pred && on(&self.atoms[id]))
+                .count()
+        };
+        let bound = probe.args().iter().enumerate().filter(|(_, t)| !t.is_var());
+        bound
+            .map(|(pos, &term)| {
+                let list = self.by_pos.get(&(pred, pos as u8, term));
+                list.map_or(0, Vec::len) - masked_on(Some(pos))
+            })
+            .min()
+            .unwrap_or_else(|| self.by_pred[pred.index()].len() - masked_on(None))
+    }
 }
 
 impl AtomIndex for Target {
@@ -107,8 +152,7 @@ impl AtomIndex for Target {
             let list: &[usize] = self
                 .by_pos
                 .get(&(probe.pred(), pos as u8, term))
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
+                .map_or(&[][..], Vec::as_slice);
             if best.map_or(true, |b| list.len() < b.len()) {
                 best = Some(list);
             }

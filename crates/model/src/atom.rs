@@ -147,8 +147,16 @@ impl Atom {
     /// Returns a copy with the substitution applied to every argument.
     #[must_use]
     pub fn apply(&self, s: &Subst) -> Atom {
+        self.map(|t| s.apply(t))
+    }
+
+    /// Returns a copy with `f` applied to every argument, in order.
+    #[must_use]
+    pub fn map(&self, mut f: impl FnMut(Term) -> Term) -> Atom {
         let mut out = *self;
-        s.apply_slice(out.args.as_mut_slice());
+        for t in out.args.as_mut_slice() {
+            *t = f(*t);
+        }
         out
     }
 
@@ -186,6 +194,14 @@ mod tests {
     }
     fn c(n: &str) -> Term {
         Term::constant(n)
+    }
+
+    #[test]
+    fn terms_and_atoms_keep_their_sizes() {
+        // Resident chase snapshots, and the byte estimates that cap them,
+        // scale with both.
+        assert_eq!(size_of::<Term>(), 16);
+        assert_eq!(size_of::<Atom>(), 56);
     }
 
     #[test]

@@ -108,16 +108,16 @@ mod tests {
 
     #[test]
     fn known_answer_vector() {
-        // Reference values for seed 1234567 from the published SplitMix64
+        // Reference values for seed 1_234_567 from the published SplitMix64
         // C implementation.
-        let mut g = SplitMix64::seed_from_u64(1234567);
+        let mut g = SplitMix64::seed_from_u64(1_234_567);
         let first: Vec<u64> = (0..3).map(|_| g.next_u64()).collect();
         assert_eq!(
             first,
             vec![
-                6457827717110365317,
-                3203168211198807973,
-                9817491932198370423
+                6_457_827_717_110_365_317,
+                3_203_168_211_198_807_973,
+                9_817_491_932_198_370_423
             ]
         );
     }

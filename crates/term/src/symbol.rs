@@ -1,66 +1,147 @@
 //! Interned string symbols.
+//!
+//! A [`Symbol`] is a reference to its interner entry, so reading its name
+//! or ordering two symbols never touches the interner: only
+//! [`Symbol::intern`] takes its lock. Names and entries are carved out of
+//! leaked arena chunks, so a symbol costs its name's bytes, one
+//! 16-byte entry and one 8-byte table slot, with no allocator header of
+//! its own.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{LazyLock, RwLock};
 
 /// An interned string.
 ///
-/// Symbols are cheap to copy, compare and hash (a single `u32`), and can be
-/// resolved back to their string form with [`Symbol::as_str`]. Interning is
-/// global and lock-protected; interned strings live for the duration of the
-/// process (they are leaked once, on first interning — the symbol universe
-/// of a containment workload is small and bounded, so this is the usual
-/// compiler-style trade-off).
+/// Symbols are cheap to copy, compare and hash (a single pointer), and can
+/// be resolved back to their string form with [`Symbol::as_str`] without
+/// taking any lock. Interning is global and lock-protected; interned
+/// strings live for the duration of the process (the usual compiler-style
+/// trade-off).
 ///
-/// Equality and hashing are by id. The [`Ord`] implementation compares the
-/// *string forms* lexicographically, because the chase's EGD rule ρ4 must
-/// pick "the lexicographically smaller" of two constants (Definition 2 of
-/// the paper) and that choice must be stable across runs regardless of
+/// Equality and hashing are by entry address: interning gives every name
+/// exactly one entry. The [`Ord`] implementation compares the *string
+/// forms* lexicographically, because the chase's EGD rule ρ4 must pick
+/// "the lexicographically smaller" of two constants (Definition 2 of the
+/// paper) and that choice must be stable across runs regardless of
 /// interning order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Symbol(u32);
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static Entry);
+
+/// One interned name. Its address is the symbol's identity.
+struct Entry {
+    name: &'static str,
+}
+
+/// The interner's table key: an entry, hashed and compared by its name so
+/// that the table can be probed with a `&str`.
+#[derive(Clone, Copy)]
+struct Key(&'static Entry);
+
+impl std::borrow::Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        self.0.name
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.0.name == other.0.name
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.name.hash(state);
+    }
+}
+
+/// Bytes of name storage leaked at a time (a longer name gets a chunk of
+/// its own length).
+const NAME_CHUNK: usize = 4096;
+/// Entries leaked at a time.
+const ENTRY_CHUNK: usize = 256;
 
 struct Interner {
-    by_name: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
+    set: HashSet<Key>,
+    /// The unused tail of the current name chunk.
+    names: &'static mut [u8],
+    /// The unused tail of the current entry chunk.
+    entries: &'static mut [Entry],
+}
+
+impl Interner {
+    /// Copies `name` into the arena and returns its new entry.
+    fn insert(&mut self, name: &str) -> &'static Entry {
+        if self.names.len() < name.len() {
+            self.names = Box::leak(vec![0; name.len().max(NAME_CHUNK)].into_boxed_slice());
+        }
+        let (bytes, rest) = std::mem::take(&mut self.names).split_at_mut(name.len());
+        self.names = rest;
+        bytes.copy_from_slice(name.as_bytes());
+        let name: &'static [u8] = bytes;
+        let name = std::str::from_utf8(name).expect("copied from a str");
+        if self.entries.is_empty() {
+            self.entries = Box::leak(
+                std::iter::repeat_with(|| Entry { name: "" })
+                    .take(ENTRY_CHUNK)
+                    .collect(),
+            );
+        }
+        let (entry, rest) = std::mem::take(&mut self.entries)
+            .split_first_mut()
+            .expect("refilled when empty");
+        self.entries = rest;
+        entry.name = name;
+        let entry: &'static Entry = entry;
+        self.set.insert(Key(entry));
+        entry
+    }
 }
 
 static INTERNER: LazyLock<RwLock<Interner>> = LazyLock::new(|| {
     RwLock::new(Interner {
-        by_name: HashMap::new(),
-        names: Vec::new(),
+        set: HashSet::new(),
+        names: Default::default(),
+        entries: Default::default(),
     })
 });
 
 impl Symbol {
     /// Interns `name`, returning its symbol. Idempotent.
     pub fn intern(name: &str) -> Symbol {
-        {
-            let interner = INTERNER.read().expect("interner lock poisoned");
-            if let Some(&id) = interner.by_name.get(name) {
-                return Symbol(id);
-            }
+        let interner = INTERNER.read().expect("interner lock poisoned");
+        if let Some(key) = interner.set.get(name) {
+            return Symbol(key.0);
         }
+        drop(interner);
         let mut interner = INTERNER.write().expect("interner lock poisoned");
-        if let Some(&id) = interner.by_name.get(name) {
-            return Symbol(id);
+        match interner.set.get(name) {
+            Some(key) => Symbol(key.0),
+            None => Symbol(interner.insert(name)),
         }
-        let owned: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let id = u32::try_from(interner.names.len()).expect("symbol table overflow");
-        interner.names.push(owned);
-        interner.by_name.insert(owned, id);
-        Symbol(id)
     }
 
     /// Returns the string this symbol was interned from.
     pub fn as_str(self) -> &'static str {
-        INTERNER.read().expect("interner lock poisoned").names[self.0 as usize]
+        self.0.name
     }
+}
 
-    /// The raw id, useful for dense side tables.
-    pub fn id(self) -> u32 {
-        self.0
+impl PartialEq for Symbol {
+    fn eq(&self, other: &Symbol) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Symbol {}
+
+impl Hash for Symbol {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::ptr::hash(self.0, state);
     }
 }
 
@@ -72,7 +153,7 @@ impl PartialOrd for Symbol {
 
 impl Ord for Symbol {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.0 == other.0 {
+        if self == other {
             std::cmp::Ordering::Equal
         } else {
             self.as_str().cmp(other.as_str())
@@ -136,5 +217,27 @@ mod tests {
     fn from_str_interns() {
         let s: Symbol = "student".into();
         assert_eq!(s, Symbol::intern("student"));
+    }
+
+    #[test]
+    fn names_survive_chunk_boundaries() {
+        // Enough names, one longer than a whole chunk, to fill several
+        // name and entry chunks: every one resolves to its own text.
+        let long = "x".repeat(NAME_CHUNK + 1);
+        let names: Vec<String> = (0..2 * ENTRY_CHUNK)
+            .map(|i| format!("chunk_test_{i}"))
+            .chain([long, String::new()])
+            .collect();
+        let symbols: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+        for (name, sym) in names.iter().zip(&symbols) {
+            assert_eq!(sym.as_str(), name);
+            assert_eq!(Symbol::intern(name), *sym);
+        }
+    }
+
+    #[test]
+    fn a_symbol_is_one_pointer() {
+        assert_eq!(size_of::<Symbol>(), size_of::<usize>());
+        assert_eq!(size_of::<Option<Symbol>>(), size_of::<usize>());
     }
 }

@@ -11,14 +11,16 @@
 //! queries that are not classically equivalent.
 
 use flogic_lite::core::{
-    canonical_query, classic_contains, contains_with, ContainmentOptions, DecisionCache, QueryKey,
+    canonical_query, classic_contains, contains_with, ContainmentOptions, DecisionCache,
+    KeyBuilder, QueryKey,
 };
 use flogic_lite::gen::rng::SplitMix64;
 use flogic_lite::gen::{
-    add_redundant_atoms, generalize, mutate_variant, permute_body, random_query, rename_vars,
-    GeneralizeConfig, QueryGenConfig,
+    add_redundant_atoms, generalize, generalize_from_chase, mutate_variant, permute_body,
+    random_query, rename_vars, GeneralizeConfig, QueryGenConfig,
 };
 use flogic_lite::prelude::*;
+use flogic_lite::syntax::query_to_flogic;
 
 fn rng(seed: u64) -> SplitMix64 {
     SplitMix64::seed_from_u64(seed)
@@ -265,4 +267,88 @@ fn exhausted_and_truncated_runs_agree_across_canon_modes() {
         assert_eq!(on.verdict(), off.verdict(), "bound {bound}");
         assert_eq!(on.holds(), off.holds(), "bound {bound}");
     }
+}
+
+/// Pair `i` of one of `perfbench`'s seeded streams (its `workload.rs`): a
+/// random 4-atom `q1` and, by turns, a `q2` generalized from its body,
+/// generalized from its chase, or drawn independently.
+fn perf_pair(seed: u64, stream: u64, i: u64) -> (ConjunctiveQuery, ConjunctiveQuery) {
+    let mut rng = perf_rng(seed, stream, i);
+    let blur = GeneralizeConfig::default();
+    let q1 = random_query(&workload_cfg(), &mut rng);
+    let q2 = match i % 3 {
+        0 => generalize(&q1, &blur, &mut rng),
+        1 => match generalize_from_chase(&q1, &blur, &mut rng) {
+            Some(q2) => q2,
+            None => generalize(&q1, &blur, &mut rng),
+        },
+        _ => random_query(&workload_cfg(), &mut rng),
+    };
+    (q1, q2)
+}
+
+fn perf_rng(seed: u64, stream: u64, i: u64) -> SplitMix64 {
+    SplitMix64::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream.wrapping_mul(0xD1B5_4A32_D192_ED03) ^ i,
+    )
+}
+
+/// FNV-1a, 64-bit: a digest that stays the same across Rust releases,
+/// unlike `DefaultHasher`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Every byte `flqd`'s canon stage produces for `perfbench`'s seed-1
+/// traffic — each pair's decision key and both canonical representatives
+/// as text — digested against the value recorded before canonicalization
+/// was last reworked. Any change to a key byte, a representative or the
+/// order of its atoms changes the digest.
+#[test]
+fn canon_output_matches_the_recorded_digest() {
+    let text = |q1: &ConjunctiveQuery, q2: &ConjunctiveQuery| {
+        (
+            parse_query(&query_to_flogic(q1)).unwrap(),
+            parse_query(&query_to_flogic(q2)).unwrap(),
+        )
+    };
+    // The 256 corpus pairs, 2 000 respellings of them, 2 000 cold pairs
+    // (each `q1` narrowed by a request-unique constant).
+    let corpus: Vec<_> = (0..256).map(|i| perf_pair(1, 1, i)).collect();
+    let mut pairs: Vec<_> = corpus.iter().map(|(a, b)| text(a, b)).collect();
+    for r in 0..2_000u64 {
+        let (q1, q2) = &corpus[(r % 256) as usize];
+        let mut rng = perf_rng(1, 4, r);
+        let v1 = mutate_variant(q1, &mut rng);
+        let v2 = mutate_variant(q2, &mut rng);
+        pairs.push(text(&v1, &v2));
+    }
+    for r in 0..2_000u64 {
+        let (q1, q2) = perf_pair(1, 3, r);
+        let narrowed = format!(
+            "{}, {} : u1x{r}.",
+            query_to_flogic(&q1).trim_end_matches('.'),
+            q1.head()[0]
+        );
+        pairs.push((q(&narrowed), parse_query(&query_to_flogic(&q2)).unwrap()));
+    }
+    let opts = ContainmentOptions::default();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for (q1, q2) in &pairs {
+        let (key, reps) = KeyBuilder::new(q1, &opts)
+            .with_representatives()
+            .key(q2)
+            .unwrap();
+        digest = fnv1a(digest, key.bytes());
+        let (c1, c2) = reps.expect("default options key semantically");
+        for c in [c1, c2] {
+            digest = fnv1a(digest, query_to_flogic(&c).as_bytes());
+            digest = fnv1a(digest, &[0]);
+        }
+    }
+    assert_eq!(pairs.len(), 4_256);
+    assert_eq!(digest, 0x2c5d_ce19_12d5_7c99, "canon output digest");
 }
