@@ -2,7 +2,9 @@
 //! path, per request, over the seeded traffic `perfbench` drives `flqd`
 //! with (`perfbench/src/workload.rs`):
 //!
-//! * `parse_query` — both query texts of a request;
+//! * `decode` — `api::parse_contains` of the request body `perfbench`
+//!   sends: the JSON half of `flqd`'s `decode` stage;
+//! * `parse_query` — both query texts of a request: the other half;
 //! * `classic_core` — both parsed queries' classic cores;
 //! * `canon` — `KeyBuilder::key` with representatives: `flqd`'s whole
 //!   canon stage (two cores, two canonical orderings, two
@@ -26,6 +28,7 @@ use flogic_gen::{
 };
 use flogic_hom::classic_core;
 use flogic_model::ConjunctiveQuery;
+use flogic_serve::{api, json};
 use flogic_syntax::{parse_query, query_to_flogic};
 
 const SEED: u64 = 1;
@@ -33,6 +36,8 @@ const REQUESTS: u64 = 3_000;
 const ATOMS: usize = 4;
 /// Pairs `warm` and `variant` repeat.
 const CORPUS: u64 = 256;
+/// The chase budget `perfbench` puts in every request body.
+const MAX_CONJUNCTS: usize = 50_000;
 
 // The streams of `perfbench/src/workload.rs`.
 const CORPUS_STREAM: u64 = 1;
@@ -100,6 +105,14 @@ fn texts(shape: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// The `POST /v1/contains` body `perfbench` sends for a pair of texts.
+fn body((q1, q2): &(String, String)) -> String {
+    let (mut j1, mut j2) = (String::new(), String::new());
+    json::escape_into(&mut j1, q1);
+    json::escape_into(&mut j2, q2);
+    format!("{{\"q1\":{j1},\"q2\":{j2},\"max_conjuncts\":{MAX_CONJUNCTS}}}")
+}
+
 /// A closure over `items` that hands out the next one on every call.
 fn round_robin<'a, T>(items: &'a [T]) -> impl FnMut() -> &'a T + 'a {
     let mut next = 0;
@@ -133,6 +146,11 @@ fn main() {
             })
             .collect();
 
+        let bodies: Vec<_> = texts.iter().map(body).collect();
+        let mut next = round_robin(&bodies);
+        r.bench(&format!("decode/{stream}"), || {
+            api::parse_contains(black_box(next().as_bytes())).unwrap()
+        });
         let mut next = round_robin(&texts);
         r.bench(&format!("parse_query/{stream}"), || {
             let (t1, t2) = next();

@@ -13,6 +13,7 @@
 //!   code, so load generators and clients can branch without string
 //!   matching.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -165,7 +166,7 @@ impl RequestOpts {
         opts
     }
 
-    fn from_obj(obj: &std::collections::BTreeMap<String, Json>) -> Result<RequestOpts, ApiError> {
+    fn from_obj(obj: &BTreeMap<String, Json>) -> Result<RequestOpts, ApiError> {
         let mut opts = RequestOpts::default();
         if let Some(v) = obj.get("timeout_ms") {
             opts.timeout_ms = Some(
@@ -211,16 +212,17 @@ pub struct BatchRequest {
     pub opts: RequestOpts,
 }
 
-fn parse_body(body: &[u8]) -> Result<Json, ApiError> {
+/// Decodes a request body, which must be one JSON object.
+fn parse_object(body: &[u8]) -> Result<BTreeMap<String, Json>, ApiError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ApiError::parse_error("request body is not UTF-8"))?;
-    json::parse(text).map_err(ApiError::parse_error)
+    match json::parse(text).map_err(ApiError::parse_error)? {
+        Json::Obj(obj) => Ok(obj),
+        _ => Err(ApiError::bad_request("body must be a JSON object")),
+    }
 }
 
-fn known_keys(
-    obj: &std::collections::BTreeMap<String, Json>,
-    allowed: &[&str],
-) -> Result<(), ApiError> {
+fn known_keys(obj: &BTreeMap<String, Json>, allowed: &[&str]) -> Result<(), ApiError> {
     for key in obj.keys() {
         if !allowed.contains(&key.as_str()) {
             return Err(ApiError::bad_request(format!("unknown field {key:?}")));
@@ -232,55 +234,53 @@ fn known_keys(
 /// Decodes a `POST /v1/contains` body:
 /// `{"q1": …, "q2": …, "timeout_ms"?, "max_conjuncts"?, "analysis"?}`.
 pub fn parse_contains(body: &[u8]) -> Result<ContainsRequest, ApiError> {
-    let value = parse_body(body)?;
-    let obj = value
-        .as_obj()
-        .ok_or_else(|| ApiError::bad_request("body must be a JSON object"))?;
+    let mut obj = parse_object(body)?;
     known_keys(
-        obj,
+        &obj,
         &["q1", "q2", "timeout_ms", "max_conjuncts", "analysis"],
     )?;
-    let field = |name: &str| -> Result<String, ApiError> {
-        obj.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ApiError::bad_request(format!("{name} must be a string")))
+    let mut field = |name: &str| match obj.remove(name) {
+        Some(Json::Str(text)) => Ok(text),
+        _ => Err(ApiError::bad_request(format!("{name} must be a string"))),
     };
+    let (q1, q2) = (field("q1")?, field("q2")?);
     Ok(ContainsRequest {
-        q1: field("q1")?,
-        q2: field("q2")?,
-        opts: RequestOpts::from_obj(obj)?,
+        q1,
+        q2,
+        opts: RequestOpts::from_obj(&obj)?,
     })
 }
 
 /// Decodes a `POST /v1/contains_batch` body:
 /// `{"pairs": [[q1, q2], …], "timeout_ms"?, "max_conjuncts"?, "analysis"?}`.
 pub fn parse_batch(body: &[u8]) -> Result<BatchRequest, ApiError> {
-    let value = parse_body(body)?;
-    let obj = value
-        .as_obj()
-        .ok_or_else(|| ApiError::bad_request("body must be a JSON object"))?;
-    known_keys(obj, &["pairs", "timeout_ms", "max_conjuncts", "analysis"])?;
-    let raw_pairs = obj
-        .get("pairs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ApiError::bad_request("pairs must be an array"))?;
+    let mut obj = parse_object(body)?;
+    known_keys(&obj, &["pairs", "timeout_ms", "max_conjuncts", "analysis"])?;
+    let Some(Json::Arr(raw_pairs)) = obj.remove("pairs") else {
+        return Err(ApiError::bad_request("pairs must be an array"));
+    };
     let mut pairs = Vec::with_capacity(raw_pairs.len());
-    for (i, item) in raw_pairs.iter().enumerate() {
-        let pair = item.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-            ApiError::bad_request(format!("pairs[{i}] must be a two-element array"))
-        })?;
-        let q1 = pair[0]
-            .as_str()
-            .ok_or_else(|| ApiError::bad_request(format!("pairs[{i}][0] must be a string")))?;
-        let q2 = pair[1]
-            .as_str()
-            .ok_or_else(|| ApiError::bad_request(format!("pairs[{i}][1] must be a string")))?;
-        pairs.push((q1.to_string(), q2.to_string()));
+    for (i, item) in raw_pairs.into_iter().enumerate() {
+        let pair = match item {
+            Json::Arr(pair) => <[Json; 2]>::try_from(pair).ok(),
+            _ => None,
+        };
+        let Some([q1, q2]) = pair else {
+            return Err(ApiError::bad_request(format!(
+                "pairs[{i}] must be a two-element array"
+            )));
+        };
+        let text = |side: usize, value: Json| match value {
+            Json::Str(text) => Ok(text),
+            _ => Err(ApiError::bad_request(format!(
+                "pairs[{i}][{side}] must be a string"
+            ))),
+        };
+        pairs.push((text(0, q1)?, text(1, q2)?));
     }
     Ok(BatchRequest {
         pairs,
-        opts: RequestOpts::from_obj(obj)?,
+        opts: RequestOpts::from_obj(&obj)?,
     })
 }
 
@@ -382,6 +382,29 @@ mod tests {
             assert_eq!(err.code, code, "{:?}", String::from_utf8_lossy(body));
             assert_eq!(err.status, 400);
         }
+    }
+
+    #[test]
+    fn a_body_at_the_default_cap_decodes_in_linear_time() {
+        // Plain runs, multi-byte characters and escapes, up to the
+        // default 1 MiB `--max-body-bytes`. Decoding is linear in the
+        // body, so this takes milliseconds even unoptimized.
+        let (wire, text) = (
+            r#"q(X) :- X[größe -> été], \"Ärger\"\n"#,
+            "q(X) :- X[größe -> été], \"Ärger\"\n",
+        );
+        let copies = ((1 << 20) - 32) / wire.len();
+        let body = format!(r#"{{"q1":"{}","q2":"b"}}"#, wire.repeat(copies));
+        assert!(body.len() <= 1 << 20 && body.len() > 1_000_000);
+        let start = std::time::Instant::now();
+        let req = parse_contains(body.as_bytes()).unwrap();
+        let took = start.elapsed();
+        assert_eq!(req.q1, text.repeat(copies));
+        assert!(
+            took < Duration::from_secs(1),
+            "decoding a {}-byte body took {took:?}",
+            body.len()
+        );
     }
 
     #[test]

@@ -2,15 +2,17 @@
 
 use std::fmt;
 
+use crate::ast::AstTerm;
 use crate::error::{Pos, SyntaxError, SyntaxErrorKind};
 
-/// Kinds of tokens produced by the lexer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+/// Kinds of tokens produced by the lexer. Identifiers borrow their text
+/// from the input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenKind<'a> {
     /// Lowercase identifier or number — a constant (`john`, `33`).
-    LIdent(String),
+    LIdent(&'a str),
     /// Uppercase/underscore identifier — a variable (`X`, `Att`, `_G1`).
-    UIdent(String),
+    UIdent(&'a str),
     /// A bare `_` — anonymous variable.
     Anon,
     /// `:-`
@@ -49,7 +51,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::LIdent(s) | TokenKind::UIdent(s) => f.write_str(s),
@@ -76,18 +78,21 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token kind (and text, for identifiers).
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Position of the first character.
     pub pos: Pos,
 }
 
-/// The lexer: an iterator-style tokenizer over `&str`.
+/// The lexer: a tokenizer that walks `&str` byte offsets.
 pub struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    input: &'a str,
+    /// Byte offset of the next character.
+    at: usize,
     line: u32,
+    /// Column of the next character, counted in characters.
     col: u32,
 }
 
@@ -95,48 +100,60 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over `input`.
     pub fn new(input: &'a str) -> Self {
         Lexer {
-            chars: input.chars().peekable(),
+            input,
+            at: 0,
             line: 1,
             col: 1,
         }
     }
 
     /// Tokenizes the whole input, appending a final [`TokenKind::Eof`].
-    pub fn tokenize(input: &'a str) -> Result<Vec<Token>, SyntaxError> {
+    pub fn tokenize(input: &'a str) -> Result<Vec<Token<'a>>, SyntaxError> {
         let mut lexer = Lexer::new(input);
-        let mut out = Vec::new();
+        // Spaced query text runs under two bytes a token, so this is
+        // one allocation, or two, for most inputs.
+        let mut out = Vec::with_capacity(input.len() / 2);
         loop {
             let tok = lexer.next_token()?;
-            let eof = tok.kind == TokenKind::Eof;
             out.push(tok);
-            if eof {
+            if tok.kind == TokenKind::Eof {
                 return Ok(out);
             }
         }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
+    fn peek(&self) -> Option<char> {
+        match *self.input.as_bytes().get(self.at)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.input[self.at..].chars().next(),
+        }
+    }
+
+    /// Moves past `c`, the next character.
+    fn advance(&mut self, c: char) {
+        self.at += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
         } else {
             self.col += 1;
         }
-        Some(c)
+    }
+
+    fn bump(&mut self) {
+        if let Some(c) = self.peek() {
+            self.advance(c);
+        }
     }
 
     fn skip_trivia(&mut self) {
-        while let Some(&c) = self.chars.peek() {
+        while let Some(c) = self.peek() {
             if c.is_whitespace() {
-                self.bump();
+                self.advance(c);
             } else if c == '%' {
                 // Line comment.
-                while let Some(&c) = self.chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    self.bump();
+                while let Some(c) = self.peek().filter(|&c| c != '\n') {
+                    self.advance(c);
                 }
             } else {
                 break;
@@ -149,13 +166,13 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produces the next token.
-    pub fn next_token(&mut self) -> Result<Token, SyntaxError> {
+    pub fn next_token(&mut self) -> Result<Token<'a>, SyntaxError> {
         self.skip_trivia();
         let pos = Pos {
             line: self.line,
             col: self.col,
         };
-        let Some(&c) = self.chars.peek() else {
+        let Some(c) = self.peek() else {
             return Ok(Token {
                 kind: TokenKind::Eof,
                 pos,
@@ -196,7 +213,7 @@ impl<'a> Lexer<'a> {
             }
             ':' => {
                 self.bump();
-                match self.chars.peek() {
+                match self.peek() {
                     Some(':') => {
                         self.bump();
                         TokenKind::SubSym
@@ -210,7 +227,7 @@ impl<'a> Lexer<'a> {
             }
             '-' => {
                 self.bump();
-                if self.chars.peek() == Some(&'>') {
+                if self.peek() == Some('>') {
                     self.bump();
                     TokenKind::Arrow
                 } else {
@@ -223,7 +240,7 @@ impl<'a> Lexer<'a> {
             }
             '?' => {
                 self.bump();
-                if self.chars.peek() == Some(&'-') {
+                if self.peek() == Some('-') {
                     self.bump();
                     TokenKind::Goal
                 } else {
@@ -232,9 +249,9 @@ impl<'a> Lexer<'a> {
             }
             '*' => {
                 self.bump();
-                if self.chars.peek() == Some(&'=') {
+                if self.peek() == Some('=') {
                     self.bump();
-                    if self.chars.peek() == Some(&'>') {
+                    if self.peek() == Some('>') {
                         self.bump();
                         TokenKind::SigArrow
                     } else {
@@ -244,34 +261,112 @@ impl<'a> Lexer<'a> {
                     TokenKind::Star
                 }
             }
-            c if c.is_ascii_digit() || c.is_lowercase() => {
-                let name = self.lex_ident();
-                TokenKind::LIdent(name)
-            }
-            c if c.is_uppercase() || c == '_' => {
-                let name = self.lex_ident();
-                if name == "_" {
-                    TokenKind::Anon
-                } else {
-                    TokenKind::UIdent(name)
-                }
-            }
+            c if c.is_ascii_digit() || c.is_lowercase() => TokenKind::LIdent(self.lex_ident()),
+            c if c.is_uppercase() || c == '_' => match self.lex_ident() {
+                "_" => TokenKind::Anon,
+                name => TokenKind::UIdent(name),
+            },
             other => return Err(self.err(SyntaxErrorKind::UnexpectedChar(other))),
         };
         Ok(Token { kind, pos })
     }
 
-    fn lex_ident(&mut self) -> String {
-        let mut s = String::new();
-        while let Some(&c) = self.chars.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '\'' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    fn lex_ident(&mut self) -> &'a str {
+        let start = self.at;
+        while let Some(c) = self
+            .peek()
+            .filter(|&c| c.is_alphanumeric() || c == '_' || c == '\'')
+        {
+            self.advance(c);
         }
-        s
+        &self.input[start..self.at]
+    }
+}
+
+/// The token stream of one input, with the lookahead both parsers
+/// share. It never moves past the final [`TokenKind::Eof`].
+pub(crate) struct Cursor<'a> {
+    tokens: Vec<Token<'a>>,
+    idx: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Tokenizes `input`.
+    pub(crate) fn new(input: &'a str) -> Result<Cursor<'a>, SyntaxError> {
+        Ok(Cursor {
+            tokens: Lexer::tokenize(input)?,
+            idx: 0,
+        })
+    }
+
+    /// The next token.
+    pub(crate) fn peek(&self) -> Token<'a> {
+        self.tokens[self.idx]
+    }
+
+    /// Whether the next tokens open a predicate atom: a lowercase name
+    /// followed by `(`.
+    pub(crate) fn at_atom(&self) -> bool {
+        matches!(self.peek().kind, TokenKind::LIdent(_))
+            && self.tokens[self.idx + 1].kind == TokenKind::LParen
+    }
+
+    /// Consumes the next token.
+    pub(crate) fn bump(&mut self) -> Token<'a> {
+        let t = self.peek();
+        if t.kind != TokenKind::Eof {
+            self.idx += 1;
+        }
+        t
+    }
+
+    /// Consumes the next token if it is `kind`.
+    pub(crate) fn eat(&mut self, kind: TokenKind<'_>) -> bool {
+        let hit = self.peek().kind == kind;
+        if hit {
+            self.bump();
+        }
+        hit
+    }
+
+    /// Consumes the next token, which must be `kind`; the error says
+    /// `expected` was due.
+    pub(crate) fn expect(
+        &mut self,
+        kind: TokenKind<'_>,
+        expected: &'static str,
+    ) -> Result<Token<'a>, SyntaxError> {
+        if self.peek().kind == kind {
+            Ok(self.bump())
+        } else {
+            Err(self.unexpected(expected))
+        }
+    }
+
+    /// The error for a next token that is not `expected`.
+    pub(crate) fn unexpected(&self, expected: &'static str) -> SyntaxError {
+        let t = self.peek();
+        let kind = match t.kind {
+            TokenKind::Eof => SyntaxErrorKind::UnexpectedEof,
+            got => SyntaxErrorKind::UnexpectedToken {
+                expected,
+                got: got.to_string(),
+            },
+        };
+        SyntaxError::at(t.pos.line, t.pos.col, kind)
+    }
+
+    /// Consumes a constant, variable or `_` as an AST term, which owns its
+    /// name; the error says `expected` was due.
+    pub(crate) fn term(&mut self, expected: &'static str) -> Result<AstTerm, SyntaxError> {
+        let term = match self.peek().kind {
+            TokenKind::LIdent(name) => AstTerm::Const(name.to_owned()),
+            TokenKind::UIdent(name) => AstTerm::Var(name.to_owned()),
+            TokenKind::Anon => AstTerm::Anon,
+            _ => return Err(self.unexpected(expected)),
+        };
+        self.bump();
+        Ok(term)
     }
 }
 
@@ -279,7 +374,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         Lexer::tokenize(input)
             .unwrap()
             .into_iter()
@@ -292,18 +387,9 @@ mod tests {
         use TokenKind::*;
         assert_eq!(
             kinds("john:student."),
-            vec![
-                LIdent("john".into()),
-                Colon,
-                LIdent("student".into()),
-                Dot,
-                Eof
-            ]
+            vec![LIdent("john"), Colon, LIdent("student"), Dot, Eof]
         );
-        assert_eq!(
-            kinds("a::b"),
-            vec![LIdent("a".into()), SubSym, LIdent("b".into()), Eof]
-        );
+        assert_eq!(kinds("a::b"), vec![LIdent("a"), SubSym, LIdent("b"), Eof]);
     }
 
     #[test]
@@ -312,11 +398,11 @@ mod tests {
         assert_eq!(
             kinds("x[a->1]"),
             vec![
-                LIdent("x".into()),
+                LIdent("x"),
                 LBracket,
-                LIdent("a".into()),
+                LIdent("a"),
                 Arrow,
-                LIdent("1".into()),
+                LIdent("1"),
                 RBracket,
                 Eof
             ]
@@ -329,18 +415,11 @@ mod tests {
         use TokenKind::*;
         assert_eq!(
             kinds("{0:1}"),
-            vec![
-                LBrace,
-                LIdent("0".into()),
-                Colon,
-                LIdent("1".into()),
-                RBrace,
-                Eof
-            ]
+            vec![LBrace, LIdent("0"), Colon, LIdent("1"), RBrace, Eof]
         );
         assert_eq!(
             kinds("{1,*}"),
-            vec![LBrace, LIdent("1".into()), Comma, Star, RBrace, Eof]
+            vec![LBrace, LIdent("1"), Comma, Star, RBrace, Eof]
         );
     }
 
@@ -356,11 +435,11 @@ mod tests {
         assert_eq!(
             kinds("X att _ _G1 33"),
             vec![
-                UIdent("X".into()),
-                LIdent("att".into()),
+                UIdent("X"),
+                LIdent("att"),
                 Anon,
-                UIdent("_G1".into()),
-                LIdent("33".into()),
+                UIdent("_G1"),
+                LIdent("33"),
                 Eof
             ]
         );
@@ -369,13 +448,13 @@ mod tests {
     #[test]
     fn primed_variables_lex() {
         use TokenKind::*;
-        assert_eq!(kinds("A''"), vec![UIdent("A''".into()), Eof]);
+        assert_eq!(kinds("A''"), vec![UIdent("A''"), Eof]);
     }
 
     #[test]
     fn comments_skipped_and_positions_tracked() {
         let toks = Lexer::tokenize("% a comment\n  q").unwrap();
-        assert_eq!(toks[0].kind, TokenKind::LIdent("q".into()));
+        assert_eq!(toks[0].kind, TokenKind::LIdent("q"));
         assert_eq!(toks[0].pos, Pos { line: 2, col: 3 });
     }
 

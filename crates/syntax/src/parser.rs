@@ -2,287 +2,169 @@
 
 use crate::ast::{AstQuery, AstTerm, Card, Molecule, Program, Spec, Statement};
 use crate::error::{Pos, SyntaxError, SyntaxErrorKind};
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::lexer::{Cursor, TokenKind};
 
 /// Parses a whole program.
 pub fn parse(input: &str) -> Result<Program, SyntaxError> {
-    let tokens = Lexer::tokenize(input)?;
-    let mut p = Parser { tokens, idx: 0 };
-    p.program()
+    let mut t = Cursor::new(input)?;
+    let mut statements = Vec::new();
+    while t.peek().kind != TokenKind::Eof {
+        statements.push(statement(&mut t)?);
+        // '.' terminates a statement; it may be omitted before EOF.
+        if !t.eat(TokenKind::Dot) && t.peek().kind != TokenKind::Eof {
+            return Err(t.unexpected("`.` or end of input"));
+        }
+    }
+    Ok(Program { statements })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    idx: usize,
+fn statement(t: &mut Cursor<'_>) -> Result<Statement, SyntaxError> {
+    // An ad-hoc goal starts with `?-`.
+    if t.eat(TokenKind::Goal) {
+        return Ok(Statement::Goal(body(t)?));
+    }
+    // A query starts with `name(args) :-`; without the `:-`, `name(args)`
+    // is a predicate-notation fact. Anything else is a molecule fact.
+    if !t.at_atom() {
+        return Ok(Statement::Fact(molecule(t)?));
+    }
+    let (name, pos, args, head_pos) = pred_shape(t)?;
+    if !t.eat(TokenKind::Implies) {
+        return Ok(Statement::Fact(Molecule::Pred { name, args, pos }));
+    }
+    Ok(Statement::Query(AstQuery {
+        name,
+        head: args,
+        body: body(t)?,
+        pos,
+        head_pos,
+    }))
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.idx]
-    }
-
-    fn peek2(&self) -> &TokenKind {
-        let i = (self.idx + 1).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.idx].clone();
-        if self.idx + 1 < self.tokens.len() {
-            self.idx += 1;
-        }
-        t
-    }
-
-    fn unexpected(&self, expected: &'static str) -> SyntaxError {
-        let t = self.peek();
-        if t.kind == TokenKind::Eof {
-            SyntaxError::at(t.pos.line, t.pos.col, SyntaxErrorKind::UnexpectedEof)
-        } else {
-            SyntaxError::at(
-                t.pos.line,
-                t.pos.col,
-                SyntaxErrorKind::UnexpectedToken {
-                    expected,
-                    got: t.kind.to_string(),
-                },
-            )
+/// `name(t1, …, tn)` — used for both query heads and predicate atoms.
+/// Returns the name and its position, plus the arguments and their
+/// positions (the two vectors are parallel).
+#[allow(clippy::type_complexity)]
+fn pred_shape(t: &mut Cursor<'_>) -> Result<(String, Pos, Vec<AstTerm>, Vec<Pos>), SyntaxError> {
+    let tok = t.bump();
+    let TokenKind::LIdent(name) = tok.kind else {
+        unreachable!("caller checked `at_atom`")
+    };
+    t.expect(TokenKind::LParen, "`(`")?;
+    let mut args = Vec::new();
+    let mut arg_pos = Vec::new();
+    if t.peek().kind != TokenKind::RParen {
+        loop {
+            arg_pos.push(t.peek().pos);
+            args.push(term(t)?);
+            if !t.eat(TokenKind::Comma) {
+                break;
+            }
         }
     }
+    t.expect(TokenKind::RParen, "`)`")?;
+    Ok((name.to_owned(), tok.pos, args, arg_pos))
+}
 
-    fn eat(&mut self, kind: &TokenKind, expected: &'static str) -> Result<Token, SyntaxError> {
-        if &self.peek().kind == kind {
-            Ok(self.bump())
-        } else {
-            Err(self.unexpected(expected))
-        }
+fn body(t: &mut Cursor<'_>) -> Result<Vec<Molecule>, SyntaxError> {
+    let mut molecules = vec![molecule(t)?];
+    while t.eat(TokenKind::Comma) {
+        molecules.push(molecule(t)?);
     }
+    Ok(molecules)
+}
 
-    fn program(&mut self) -> Result<Program, SyntaxError> {
-        let mut statements = Vec::new();
-        while self.peek().kind != TokenKind::Eof {
-            statements.push(self.statement()?);
-            // '.' terminates a statement; it may be omitted before EOF.
-            if self.peek().kind == TokenKind::Dot {
-                self.bump();
-            } else if self.peek().kind != TokenKind::Eof {
-                return Err(self.unexpected("`.` or end of input"));
-            }
-        }
-        Ok(Program { statements })
+fn term(t: &mut Cursor<'_>) -> Result<AstTerm, SyntaxError> {
+    t.term("a term (constant, variable or `_`)")
+}
+
+fn molecule(t: &mut Cursor<'_>) -> Result<Molecule, SyntaxError> {
+    // Predicate notation: lowercase name immediately followed by '('.
+    if t.at_atom() {
+        let (name, pos, args, _) = pred_shape(t)?;
+        return Ok(Molecule::Pred { name, args, pos });
     }
-
-    fn statement(&mut self) -> Result<Statement, SyntaxError> {
-        // An ad-hoc goal starts with `?-`.
-        if self.peek().kind == TokenKind::Goal {
-            self.bump();
-            return Ok(Statement::Goal(self.body()?));
+    let pos = t.peek().pos;
+    let subject = term(t)?;
+    if t.eat(TokenKind::Colon) {
+        Ok(Molecule::Isa {
+            obj: subject,
+            class: term(t)?,
+            pos,
+        })
+    } else if t.eat(TokenKind::SubSym) {
+        Ok(Molecule::Sub {
+            sub: subject,
+            sup: term(t)?,
+            pos,
+        })
+    } else if t.eat(TokenKind::LBracket) {
+        let mut specs = vec![spec(t)?];
+        while t.eat(TokenKind::Comma) {
+            specs.push(spec(t)?);
         }
-        // A query starts with `name(args) :-`; anything else is a fact.
-        if let TokenKind::LIdent(_) = &self.peek().kind {
-            if *self.peek2() == TokenKind::LParen {
-                let save = self.idx;
-                let (name, pos, args, head_pos) = self.pred_shape()?;
-                if self.peek().kind == TokenKind::Implies {
-                    self.bump();
-                    let body = self.body()?;
-                    return Ok(Statement::Query(AstQuery {
-                        name,
-                        head: args,
-                        body,
-                        pos,
-                        head_pos,
-                    }));
-                }
-                // Not a rule: re-interpret as a predicate-notation fact.
-                self.idx = save;
-                let molecule = self.molecule()?;
-                return Ok(Statement::Fact(molecule));
-            }
-        }
-        Ok(Statement::Fact(self.molecule()?))
+        t.expect(TokenKind::RBracket, "`]`")?;
+        Ok(Molecule::Specs {
+            obj: subject,
+            specs,
+            pos,
+        })
+    } else {
+        Err(t.unexpected("`:`, `::` or `[`"))
     }
+}
 
-    /// `name(t1, …, tn)` — used for both query heads and predicate atoms.
-    /// Returns the name and its position, plus the arguments and their
-    /// positions (the two vectors are parallel).
-    #[allow(clippy::type_complexity)]
-    fn pred_shape(&mut self) -> Result<(String, Pos, Vec<AstTerm>, Vec<Pos>), SyntaxError> {
-        let tok = self.bump();
-        let pos = tok.pos;
-        let TokenKind::LIdent(name) = tok.kind else {
-            unreachable!("caller checked LIdent")
-        };
-        self.eat(&TokenKind::LParen, "`(`")?;
-        let mut args = Vec::new();
-        let mut arg_pos = Vec::new();
-        if self.peek().kind != TokenKind::RParen {
-            loop {
-                arg_pos.push(self.peek().pos);
-                args.push(self.term()?);
-                if self.peek().kind == TokenKind::Comma {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-        self.eat(&TokenKind::RParen, "`)`")?;
-        Ok((name, pos, args, arg_pos))
+fn spec(t: &mut Cursor<'_>) -> Result<Spec, SyntaxError> {
+    let pos = t.peek().pos;
+    let attr = term(t)?;
+    if t.eat(TokenKind::Arrow) {
+        return Ok(Spec::DataVal {
+            attr,
+            value: term(t)?,
+            pos,
+        });
     }
+    let card = match t.peek().kind {
+        TokenKind::LBrace => Some(cardinality(t)?),
+        TokenKind::SigArrow => None,
+        _ => return Err(t.unexpected("`->`, `{` or `*=>`")),
+    };
+    t.expect(TokenKind::SigArrow, "`*=>`")?;
+    Ok(Spec::Signature {
+        attr,
+        card,
+        typ: term(t)?,
+        pos,
+    })
+}
 
-    fn body(&mut self) -> Result<Vec<Molecule>, SyntaxError> {
-        let mut molecules = vec![self.molecule()?];
-        while self.peek().kind == TokenKind::Comma {
-            self.bump();
-            molecules.push(self.molecule()?);
-        }
-        Ok(molecules)
+/// `{0:1}` or `{1:*}`; the paper also writes `{1,*}`, so both `:` and
+/// `,` separators are accepted. Anything else is rejected — F-logic
+/// Lite allows only these two cardinalities.
+fn cardinality(t: &mut Cursor<'_>) -> Result<Card, SyntaxError> {
+    let open = t.expect(TokenKind::LBrace, "`{`")?;
+    let TokenKind::LIdent(lo @ ("0" | "1")) = t.peek().kind else {
+        return Err(t.unexpected("`0` or `1`"));
+    };
+    t.bump();
+    if !t.eat(TokenKind::Colon) && !t.eat(TokenKind::Comma) {
+        return Err(t.unexpected("`:` or `,`"));
     }
-
-    fn term(&mut self) -> Result<AstTerm, SyntaxError> {
-        match &self.peek().kind {
-            TokenKind::LIdent(_) => {
-                let TokenKind::LIdent(s) = self.bump().kind else {
-                    unreachable!()
-                };
-                Ok(AstTerm::Const(s))
-            }
-            TokenKind::UIdent(_) => {
-                let TokenKind::UIdent(s) = self.bump().kind else {
-                    unreachable!()
-                };
-                Ok(AstTerm::Var(s))
-            }
-            TokenKind::Anon => {
-                self.bump();
-                Ok(AstTerm::Anon)
-            }
-            _ => Err(self.unexpected("a term (constant, variable or `_`)")),
-        }
-    }
-
-    fn molecule(&mut self) -> Result<Molecule, SyntaxError> {
-        let pos = self.peek().pos;
-        // Predicate notation: lowercase name immediately followed by '('.
-        if let TokenKind::LIdent(_) = &self.peek().kind {
-            if *self.peek2() == TokenKind::LParen {
-                let (name, pos, args, _) = self.pred_shape()?;
-                return Ok(Molecule::Pred { name, args, pos });
-            }
-        }
-        let subject = self.term()?;
-        match &self.peek().kind {
-            TokenKind::Colon => {
-                self.bump();
-                let class = self.term()?;
-                Ok(Molecule::Isa {
-                    obj: subject,
-                    class,
-                    pos,
-                })
-            }
-            TokenKind::SubSym => {
-                self.bump();
-                let sup = self.term()?;
-                Ok(Molecule::Sub {
-                    sub: subject,
-                    sup,
-                    pos,
-                })
-            }
-            TokenKind::LBracket => {
-                self.bump();
-                let mut specs = vec![self.spec()?];
-                while self.peek().kind == TokenKind::Comma {
-                    self.bump();
-                    specs.push(self.spec()?);
-                }
-                self.eat(&TokenKind::RBracket, "`]`")?;
-                Ok(Molecule::Specs {
-                    obj: subject,
-                    specs,
-                    pos,
-                })
-            }
-            _ => Err(self.unexpected("`:`, `::` or `[`")),
-        }
-    }
-
-    fn spec(&mut self) -> Result<Spec, SyntaxError> {
-        let pos = self.peek().pos;
-        let attr = self.term()?;
-        match &self.peek().kind {
-            TokenKind::Arrow => {
-                self.bump();
-                let value = self.term()?;
-                Ok(Spec::DataVal { attr, value, pos })
-            }
-            TokenKind::LBrace => {
-                let card = self.cardinality()?;
-                self.eat(&TokenKind::SigArrow, "`*=>`")?;
-                let typ = self.term()?;
-                Ok(Spec::Signature {
-                    attr,
-                    card: Some(card),
-                    typ,
-                    pos,
-                })
-            }
-            TokenKind::SigArrow => {
-                self.bump();
-                let typ = self.term()?;
-                Ok(Spec::Signature {
-                    attr,
-                    card: None,
-                    typ,
-                    pos,
-                })
-            }
-            _ => Err(self.unexpected("`->`, `{` or `*=>`")),
-        }
-    }
-
-    /// `{0:1}` or `{1:*}`; the paper also writes `{1,*}`, so both `:` and
-    /// `,` separators are accepted. Anything else is rejected — F-logic
-    /// Lite allows only these two cardinalities.
-    fn cardinality(&mut self) -> Result<Card, SyntaxError> {
-        let open = self.eat(&TokenKind::LBrace, "`{`")?;
-        let lo = match &self.peek().kind {
-            TokenKind::LIdent(s) if s == "0" || s == "1" => {
-                let s = s.clone();
-                self.bump();
-                s
-            }
-            _ => return Err(self.unexpected("`0` or `1`")),
-        };
-        match &self.peek().kind {
-            TokenKind::Colon | TokenKind::Comma => {
-                self.bump();
-            }
-            _ => return Err(self.unexpected("`:` or `,`")),
-        }
-        let hi = match &self.peek().kind {
-            TokenKind::LIdent(s) if s == "1" => {
-                self.bump();
-                "1".to_owned()
-            }
-            TokenKind::Star => {
-                self.bump();
-                "*".to_owned()
-            }
-            _ => return Err(self.unexpected("`1` or `*`")),
-        };
-        self.eat(&TokenKind::RBrace, "`}`")?;
-        match (lo.as_str(), hi.as_str()) {
-            ("0", "1") => Ok(Card::ZeroOne),
-            ("1", "*") => Ok(Card::OneStar),
-            _ => Err(SyntaxError::at(
-                open.pos.line,
-                open.pos.col,
-                SyntaxErrorKind::UnsupportedCardinality(format!("{lo}:{hi}")),
-            )),
-        }
+    let hi = match t.peek().kind {
+        TokenKind::LIdent("1") => "1",
+        TokenKind::Star => "*",
+        _ => return Err(t.unexpected("`1` or `*`")),
+    };
+    t.bump();
+    t.expect(TokenKind::RBrace, "`}`")?;
+    match (lo, hi) {
+        ("0", "1") => Ok(Card::ZeroOne),
+        ("1", "*") => Ok(Card::OneStar),
+        _ => Err(SyntaxError::at(
+            open.pos.line,
+            open.pos.col,
+            SyntaxErrorKind::UnsupportedCardinality(format!("{lo}:{hi}")),
+        )),
     }
 }
 

@@ -25,8 +25,8 @@
 //! surfaces *all* problems of a rule file, not just the first.
 
 use crate::ast::AstTerm;
-use crate::error::{Pos, SyntaxError, SyntaxErrorKind};
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::error::{Pos, SyntaxError};
+use crate::lexer::{Cursor, TokenKind};
 
 /// A parsed `.sigma` file: rules in declaration order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,132 +90,79 @@ pub struct SpannedTerm {
 /// tokens or rule shapes) are returned as `Err`; schema-level problems
 /// are left for the admission analyzer.
 pub fn parse_sigma(input: &str) -> Result<SigmaAst, SyntaxError> {
-    let tokens = Lexer::tokenize(input)?;
-    let mut parser = SigmaParser { tokens, i: 0 };
+    let mut t = Cursor::new(input)?;
     let mut rules = Vec::new();
-    while parser.peek().kind != TokenKind::Eof {
-        rules.push(parser.rule()?);
+    while t.peek().kind != TokenKind::Eof {
+        rules.push(rule(&mut t)?);
     }
     Ok(SigmaAst { rules })
 }
 
-struct SigmaParser {
-    tokens: Vec<Token>,
-    i: usize,
+fn rule(t: &mut Cursor<'_>) -> Result<SigmaRuleAst, SyntaxError> {
+    let pos = t.peek().pos;
+    // An atom head starts `name(`; anything else must be the equated
+    // pair of an EGD.
+    let kind = if t.at_atom() {
+        let head = atom(t)?;
+        t.expect(TokenKind::Implies, "`:-`")?;
+        SigmaRuleKindAst::Tgd {
+            head,
+            body: body(t)?,
+        }
+    } else {
+        let left = term(t)?;
+        t.expect(TokenKind::Eq, "`=` or a head atom")?;
+        let right = term(t)?;
+        t.expect(TokenKind::Implies, "`:-`")?;
+        SigmaRuleKindAst::Egd {
+            left,
+            right,
+            body: body(t)?,
+        }
+    };
+    t.expect(TokenKind::Dot, "`.`")?;
+    Ok(SigmaRuleAst { pos, kind })
 }
 
-impl SigmaParser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.i]
+fn body(t: &mut Cursor<'_>) -> Result<Vec<SigmaAtomAst>, SyntaxError> {
+    let mut atoms = vec![atom(t)?];
+    while t.eat(TokenKind::Comma) {
+        atoms.push(atom(t)?);
     }
+    Ok(atoms)
+}
 
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.i + 1).min(self.tokens.len() - 1)]
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.i].clone();
-        if self.i + 1 < self.tokens.len() {
-            self.i += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, kind: &TokenKind, expected: &'static str) -> Result<Token, SyntaxError> {
-        let t = self.peek().clone();
-        if t.kind == *kind {
-            Ok(self.bump())
-        } else {
-            Err(self.unexpected(expected))
+fn atom(t: &mut Cursor<'_>) -> Result<SigmaAtomAst, SyntaxError> {
+    let TokenKind::LIdent(name) = t.peek().kind else {
+        return Err(t.unexpected("a predicate atom"));
+    };
+    let pos = t.bump().pos;
+    t.expect(TokenKind::LParen, "`(`")?;
+    let mut args = Vec::new();
+    if t.peek().kind != TokenKind::RParen {
+        args.push(term(t)?);
+        while t.eat(TokenKind::Comma) {
+            args.push(term(t)?);
         }
     }
+    t.expect(TokenKind::RParen, "`)`")?;
+    Ok(SigmaAtomAst {
+        name: name.to_owned(),
+        pos,
+        args,
+    })
+}
 
-    fn unexpected(&self, expected: &'static str) -> SyntaxError {
-        let t = self.peek();
-        SyntaxError::at(
-            t.pos.line,
-            t.pos.col,
-            match t.kind {
-                TokenKind::Eof => SyntaxErrorKind::UnexpectedEof,
-                _ => SyntaxErrorKind::UnexpectedToken {
-                    expected,
-                    got: t.kind.to_string(),
-                },
-            },
-        )
-    }
-
-    fn rule(&mut self) -> Result<SigmaRuleAst, SyntaxError> {
-        let pos = self.peek().pos;
-        // An atom head starts `name(`; anything else must be the equated
-        // pair of an EGD.
-        let kind = if matches!(self.peek().kind, TokenKind::LIdent(_))
-            && self.peek2().kind == TokenKind::LParen
-        {
-            let head = self.atom()?;
-            self.expect(&TokenKind::Implies, "`:-`")?;
-            let body = self.body()?;
-            SigmaRuleKindAst::Tgd { head, body }
-        } else {
-            let left = self.term()?;
-            self.expect(&TokenKind::Eq, "`=` or a head atom")?;
-            let right = self.term()?;
-            self.expect(&TokenKind::Implies, "`:-`")?;
-            let body = self.body()?;
-            SigmaRuleKindAst::Egd { left, right, body }
-        };
-        self.expect(&TokenKind::Dot, "`.`")?;
-        Ok(SigmaRuleAst { pos, kind })
-    }
-
-    fn body(&mut self) -> Result<Vec<SigmaAtomAst>, SyntaxError> {
-        let mut atoms = vec![self.atom()?];
-        while self.peek().kind == TokenKind::Comma {
-            self.bump();
-            atoms.push(self.atom()?);
-        }
-        Ok(atoms)
-    }
-
-    fn atom(&mut self) -> Result<SigmaAtomAst, SyntaxError> {
-        let t = self.peek().clone();
-        let TokenKind::LIdent(name) = t.kind else {
-            return Err(self.unexpected("a predicate atom"));
-        };
-        self.bump();
-        self.expect(&TokenKind::LParen, "`(`")?;
-        let mut args = Vec::new();
-        if self.peek().kind != TokenKind::RParen {
-            args.push(self.term()?);
-            while self.peek().kind == TokenKind::Comma {
-                self.bump();
-                args.push(self.term()?);
-            }
-        }
-        self.expect(&TokenKind::RParen, "`)`")?;
-        Ok(SigmaAtomAst {
-            name,
-            pos: t.pos,
-            args,
-        })
-    }
-
-    fn term(&mut self) -> Result<SpannedTerm, SyntaxError> {
-        let t = self.peek().clone();
-        let term = match t.kind {
-            TokenKind::LIdent(s) => AstTerm::Const(s),
-            TokenKind::UIdent(s) => AstTerm::Var(s),
-            TokenKind::Anon => AstTerm::Anon,
-            _ => return Err(self.unexpected("a constant, variable, or `_`")),
-        };
-        self.bump();
-        Ok(SpannedTerm { term, pos: t.pos })
-    }
+fn term(t: &mut Cursor<'_>) -> Result<SpannedTerm, SyntaxError> {
+    let pos = t.peek().pos;
+    let term = t.term("a constant, variable, or `_`")?;
+    Ok(SpannedTerm { term, pos })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SyntaxErrorKind;
 
     #[test]
     fn parses_tgds_and_egds_with_spans() {
