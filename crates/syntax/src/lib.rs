@@ -200,6 +200,34 @@ mod tests {
     }
 
     #[test]
+    fn a_goal_at_the_default_body_cap_parses_in_linear_time() {
+        // A request body may carry an ad-hoc goal, whose head collects
+        // every distinct variable. Up to the server's default 1 MiB
+        // `--max-body-bytes`, it parses in well under two seconds, even
+        // unoptimized.
+        use std::fmt::Write as _;
+        let mut input = String::from("?- V0 : c");
+        let mut vars = 1;
+        while input.len() < 1_000_000 {
+            write!(input, ", V{vars} : c").unwrap();
+            vars += 1;
+        }
+        let start = std::time::Instant::now();
+        let g = parse_query(&input).unwrap();
+        let took = start.elapsed();
+        assert_eq!((g.head().len(), g.size()), (vars, vars));
+        assert_eq!(
+            g.head()[vars - 1],
+            flogic_term::Term::var(&format!("V{}", vars - 1))
+        );
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "parsing a {}-byte goal took {took:?}",
+            input.len()
+        );
+    }
+
+    #[test]
     fn goal_in_database_position_rejected() {
         assert!(parse_database("?- member(X, Y).").is_err());
     }
