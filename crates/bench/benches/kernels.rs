@@ -9,6 +9,8 @@
 //! * `canon` — `KeyBuilder::key` with representatives: `flqd`'s whole
 //!   canon stage (two cores, two canonical orderings, two
 //!   representatives);
+//! * `chase` — `ChaseSnapshot::build` of the canonical `q1` at the bound
+//!   its key carries: the chase `flqd` builds on a snapshot miss;
 //! * `contains` — `ChaseSnapshot::contains` of the canonical `q2` on a
 //!   resident chase of the canonical `q1`: the decision tail a snapshot
 //!   hit runs (analysis fast paths, then the hom search).
@@ -134,16 +136,21 @@ fn main() {
             .iter()
             .map(|(t1, t2)| (parse_query(t1).unwrap(), parse_query(t2).unwrap()))
             .collect();
-        // Each request's canonical pair on a resident chase of its `q1`,
-        // built at the bound its key carries, as `flqd` builds it.
-        let decisions: Vec<_> = queries
+        // Each request's canonical pair and the bound its key carries.
+        let canonical: Vec<_> = queries
             .iter()
             .map(|(q1, q2)| {
                 let mut builder = KeyBuilder::new(q1, &opts).with_representatives();
                 let (key, canonical) = builder.key(q2).unwrap();
                 let (c1, c2) = canonical.expect("default options key semantically");
-                (ChaseSnapshot::build(&c1, key.bound(), &opts).unwrap(), c2)
+                (c1, key.bound(), c2)
             })
+            .collect();
+        // Each canonical `q2` on a resident chase of its `q1`, as `flqd`
+        // builds it.
+        let decisions: Vec<_> = canonical
+            .iter()
+            .map(|(c1, bound, c2)| (ChaseSnapshot::build(c1, *bound, &opts).unwrap(), c2))
             .collect();
 
         let bodies: Vec<_> = texts.iter().map(body).collect();
@@ -168,6 +175,11 @@ fn main() {
                 .with_representatives()
                 .key(black_box(q2))
                 .unwrap()
+        });
+        let mut next = round_robin(&canonical);
+        r.bench(&format!("chase/{stream}"), || {
+            let (c1, bound, _) = next();
+            ChaseSnapshot::build(black_box(c1), *bound, &opts).unwrap()
         });
         let mut next = round_robin(&decisions);
         r.bench(&format!("contains/{stream}"), || {

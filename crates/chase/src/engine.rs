@@ -5,8 +5,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use flogic_hom::{AtomIndex, Binding};
 use flogic_model::{
-    sigma_fl, Atom, ConjunctiveQuery, Egd, Pred, RuleId, RuleSet, SigmaRule, Tgd, SIGMA_RULE_COUNT,
+    Atom, ConjunctiveQuery, Egd, Pred, RuleId, RuleSet, SigmaRule, Tgd, SIGMA_RULE_COUNT,
 };
 use flogic_term::{NullGen, Subst, Term};
 
@@ -38,9 +39,9 @@ pub struct ChaseOptions {
     /// Resource budget (deadline, step/byte caps, cancellation). The
     /// default is unlimited.
     pub budget: Budget,
-    /// The rule set to chase with. Defaults to the built-in `Σ_FL`; any
-    /// set structurally equal to it (`RuleSet::is_sigma_fl`) is routed
-    /// onto the specialized `Σ_FL` code paths, so a parsed copy of the
+    /// The rule set to chase with. Defaults to the built-in `Σ_FL`; a set
+    /// structurally equal to it (`RuleSet::is_sigma_fl`) is swapped for
+    /// the built-in set when the chase starts, so a parsed copy of the
     /// built-in rules behaves bit-identically to the default. Custom sets
     /// must be admitted by the Σ-admission analyzer (`flogic-analysis`)
     /// before they reach the engine.
@@ -187,7 +188,8 @@ pub struct Chase {
     /// Live root ids per predicate.
     by_pred: [Vec<ConjunctId>; 6],
     /// Live root ids per `(predicate, argument position, term)` — the
-    /// selective index used for rule matching and the ρ4 scan. Without it,
+    /// selective index used for rule matching, the homomorphism search
+    /// and the ρ4 scan. Without it,
     /// matching degenerates to per-predicate scans, which is quadratic in
     /// the chase size and makes branching chases (several pump threads per
     /// invented value) intractable.
@@ -204,13 +206,19 @@ pub struct Chase {
     /// Record cross-arcs (enabled for the bounded phase only; level-0
     /// cross-arcs carry no information and would bloat the graph).
     record_cross: bool,
-    /// The rule set being chased with. A structurally-`Σ_FL` set runs the
-    /// specialized ρ4 scan; any other set runs its own EGDs generically.
+    /// The rule set being chased with: the built-in `Σ_FL` for any set
+    /// structurally equal to it, which runs the specialized ρ4 scan; any
+    /// other set runs its own EGDs generically.
     sigma: Arc<RuleSet>,
 }
 
 impl Chase {
     fn new(q: &ConjunctiveQuery, sigma: &Arc<RuleSet>) -> Chase {
+        let sigma = if sigma.is_sigma_fl() {
+            RuleSet::sigma_fl()
+        } else {
+            sigma
+        };
         let mut chase = Chase {
             nodes: Vec::new(),
             redirect: Vec::new(),
@@ -288,50 +296,6 @@ impl Chase {
                 .or_default()
                 .push(id);
         }
-    }
-
-    /// Live root ids with `term` at argument `pos` of a `pred` conjunct.
-    fn posting(&self, pred: Pred, pos: u8, term: Term) -> &[ConjunctId] {
-        self.by_pos
-            .get(&(pred, pos, term))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// Candidate conjuncts for matching `pattern` under the partial rule
-    /// binding `s`: the most selective position index available, falling
-    /// back to the per-predicate list when no position is bound. (A bound
-    /// rule variable's image may itself be a query variable — that is a
-    /// concrete chase value and indexes fine.) Every candidate still
-    /// requires full unification.
-    fn candidates(&self, pattern: &Atom, s: &Subst) -> &[ConjunctId] {
-        let image = |arg: Term| if arg.is_var() { s.get(arg) } else { Some(arg) };
-        self.most_selective(pattern, image)
-    }
-
-    /// Live root ids that may match `probe`, every variable of which
-    /// counts as unbound: the shortest `(predicate, position, term)` list
-    /// over its non-variable positions, or every live conjunct of its
-    /// predicate. Lists hold live roots in ascending id order. This is
-    /// the lookup the homomorphism search runs on a chase, with the
-    /// search's binding already applied to `probe`.
-    pub fn probe_candidates(&self, probe: &Atom) -> &[ConjunctId] {
-        self.most_selective(probe, |arg| (!arg.is_var()).then_some(arg))
-    }
-
-    /// The shortest index list over the positions of `pattern` that `key`
-    /// maps to a term, or the per-predicate list when it maps none.
-    fn most_selective(&self, pattern: &Atom, key: impl Fn(Term) -> Option<Term>) -> &[ConjunctId] {
-        let mut best: Option<&[ConjunctId]> = None;
-        for (pos, &arg) in pattern.args().iter().enumerate() {
-            let Some(term) = key(arg) else {
-                continue;
-            };
-            let list = self.posting(pattern.pred(), pos as u8, term);
-            if best.map_or(true, |b| list.len() < b.len()) {
-                best = Some(list);
-            }
-        }
-        best.unwrap_or(&self.by_pred[pattern.pred().index()])
     }
 
     fn add_arc(&mut self, from: ConjunctId, to: ConjunctId, rule: RuleId, cross: bool) {
@@ -538,14 +502,15 @@ impl Chase {
     }
 
     /// The generic EGD fixpoint for custom rule sets: each EGD's body is
-    /// matched with [`Chase::match_body_pinned`] (pinned on its first
-    /// atom, over a cloned per-predicate index in numeric id order, so
-    /// enumeration order is a pure function of the chase history), and
-    /// every homomorphism demands one equation. Union-find semantics are
-    /// identical to the ρ4 scan: lexicographically smaller representative
-    /// wins, two distinct constants clash.
+    /// matched with [`Binding::for_each_match`], pinned on its first atom
+    /// to each conjunct of that predicate in id order, so enumeration
+    /// order is a pure function of the chase history; every homomorphism
+    /// demands one equation. Union-find semantics are identical to the ρ4
+    /// scan: lexicographically smaller representative wins, two distinct
+    /// constants clash.
     fn egd_fixpoint_general(&mut self, egds: &[&Egd]) -> Result<bool, (Term, Term)> {
         let mut changed_any = false;
+        let mut matched = Vec::new();
         loop {
             let mut uf: HashMap<Term, Term> = HashMap::new();
             let mut pending = false;
@@ -553,11 +518,11 @@ impl Chase {
                 let Some(first) = egd.body.first() else {
                     continue;
                 };
-                let ids: Vec<ConjunctId> = self.by_pred[first.pred().index()].clone();
+                let mut binding = unconstrained(&egd.body);
                 let mut equations: Vec<(Term, Term)> = Vec::new();
-                for id in ids {
-                    self.match_body_pinned(&egd.body, 0, id, &mut |s, _| {
-                        equations.push((s.apply(egd.left), s.apply(egd.right)));
+                for &id in &self.by_pred[first.pred().index()] {
+                    binding.for_each_match(self, (0, id), &mut matched, &mut |b, _| {
+                        equations.push((b.image(egd.left), b.image(egd.right)));
                     });
                 }
                 for (l, r) in equations {
@@ -700,91 +665,6 @@ impl Chase {
 
     // ---- TGD matching -----------------------------------------------------
 
-    /// Enumerates homomorphisms from `body` into the live conjuncts with
-    /// `body[pinned]` mapped to conjunct `pinned_id`. Calls `found` with the
-    /// binding and the matched conjunct per body position.
-    fn match_body_pinned(
-        &self,
-        body: &[Atom],
-        pinned: usize,
-        pinned_id: ConjunctId,
-        found: &mut dyn FnMut(&Subst, &[ConjunctId]),
-    ) {
-        // The binding is keyed strictly by *rule* variables and consulted
-        // with `get`, never by rewriting the pattern: the image of a rule
-        // variable is often a query variable (chase conjuncts contain
-        // them as values), and a rewritten pattern could not tell such an
-        // image apart from an unbound rule variable — it would be
-        // spuriously re-bound instead of compared, over-applying rules.
-        fn unify(pattern: &Atom, target: &Atom, s: &Subst) -> Option<Subst> {
-            if pattern.pred() != target.pred() {
-                return None;
-            }
-            let mut out = s.clone();
-            for (&p, &t) in pattern.args().iter().zip(target.args()) {
-                if p.is_var() {
-                    match out.get(p) {
-                        Some(image) => {
-                            if image != t {
-                                return None;
-                            }
-                        }
-                        None => out.bind(p, t),
-                    }
-                } else if p != t {
-                    return None;
-                }
-            }
-            Some(out)
-        }
-
-        #[allow(clippy::too_many_arguments)] // recursive helper: state threads through
-        fn rec(
-            chase: &Chase,
-            body: &[Atom],
-            pinned: usize,
-            pinned_id: ConjunctId,
-            idx: usize,
-            s: &Subst,
-            matched: &mut Vec<ConjunctId>,
-            found: &mut dyn FnMut(&Subst, &[ConjunctId]),
-        ) {
-            if idx == body.len() {
-                found(s, matched);
-                return;
-            }
-            if idx == pinned {
-                let target = &chase.nodes[pinned_id.index()].atom;
-                if let Some(s2) = unify(&body[idx], target, s) {
-                    matched.push(pinned_id);
-                    rec(chase, body, pinned, pinned_id, idx + 1, &s2, matched, found);
-                    matched.pop();
-                }
-                return;
-            }
-            for &cid in chase.candidates(&body[idx], s) {
-                let target = &chase.nodes[cid.index()].atom;
-                if let Some(s2) = unify(&body[idx], target, s) {
-                    matched.push(cid);
-                    rec(chase, body, pinned, pinned_id, idx + 1, &s2, matched, found);
-                    matched.pop();
-                }
-            }
-        }
-
-        let mut matched = Vec::with_capacity(body.len());
-        rec(
-            self,
-            body,
-            pinned,
-            pinned_id,
-            0,
-            &Subst::new(),
-            &mut matched,
-            found,
-        );
-    }
-
     /// Conjuncts that already witness an existential head: same
     /// predicate, equal at every non-existential position, with all
     /// occurrences of the existential variable mapped to one common value
@@ -801,7 +681,7 @@ impl Chase {
             .iter()
             .enumerate()
             .find(|&(_, &t)| t != ex)
-            .map(|(pos, &t)| (pos as u8, t));
+            .map(|(pos, &t)| (pos, t));
         let ids: &[ConjunctId] = match probe {
             Some((pos, t)) => self.posting(head.pred(), pos, t),
             None => &self.by_pred[head.pred().index()],
@@ -829,25 +709,35 @@ impl Chase {
 
     // ---- main loop ----------------------------------------------------------
 
-    /// Collects every applicable rule instance with `id` pinned in each
-    /// compatible body position. Pure read of the current chase state.
-    fn collect_candidates(&self, tgds: &[&Tgd], id: ConjunctId, out: &mut Vec<Candidate>) {
-        let pred = self.nodes[id.index()].atom.pred();
-        for tgd in tgds {
-            for (pos, batom) in tgd.body.iter().enumerate() {
-                if batom.pred() != pred {
-                    continue;
-                }
-                self.match_body_pinned(&tgd.body, pos, id, &mut |s, matched| {
-                    out.push(Candidate {
-                        rule: tgd.id,
-                        head: tgd.head.apply(s),
-                        existential: tgd.existential.map(|e| s.apply(e)),
-                        parents: matched.to_vec(),
+    /// Collects every applicable rule instance with a conjunct of `ids`
+    /// pinned in each compatible body position, in `ids` order. Pure read
+    /// of the current chase state. `rules` pairs each TGD with a binding
+    /// of its body ([`bind_bodies`]), reused across calls.
+    fn collect_candidates(
+        &self,
+        rules: &mut [(&Tgd, Binding<'_>)],
+        ids: &[ConjunctId],
+    ) -> Vec<Candidate> {
+        let (mut matched, mut out) = (Vec::new(), Vec::new());
+        for &id in ids {
+            let pred = self.nodes[id.index()].atom.pred();
+            for (tgd, binding) in &mut *rules {
+                for (pos, batom) in tgd.body.iter().enumerate() {
+                    if batom.pred() != pred {
+                        continue;
+                    }
+                    binding.for_each_match(self, (pos, id), &mut matched, &mut |b, parents| {
+                        out.push(Candidate {
+                            rule: tgd.id,
+                            head: tgd.head.map(|t| b.image(t)),
+                            existential: tgd.existential,
+                            parents: parents.to_vec(),
+                        });
                     });
-                });
+                }
             }
         }
+        out
     }
 
     /// Discovers the applicable rule instances for a whole frontier batch,
@@ -866,18 +756,15 @@ impl Chase {
     /// so no worker outlives the call even on failure.
     fn discover(
         &self,
-        tgds: &[&Tgd],
+        rules: &mut [(&Tgd, Binding<'_>)],
         frontier: &[ConjunctId],
         threads: usize,
     ) -> Result<Vec<Candidate>, ChaseError> {
         let threads = threads.min(frontier.len());
         if threads <= 1 {
-            let mut out = Vec::new();
-            for &id in frontier {
-                self.collect_candidates(tgds, id, &mut out);
-            }
-            return Ok(out);
+            return Ok(self.collect_candidates(rules, frontier));
         }
+        let tgds: &Vec<&Tgd> = &rules.iter().map(|&(tgd, _)| tgd).collect();
         let chunk_size = frontier.len().div_ceil(threads);
         // Read on this thread: the hook is per test thread, so it never
         // reaches chases that other tests run concurrently.
@@ -892,11 +779,7 @@ impl Chase {
                     scope.spawn(move || {
                         #[cfg(test)]
                         assert!(!inject_panic, "injected discovery worker panic");
-                        let mut out = Vec::new();
-                        for &id in chunk {
-                            self.collect_candidates(tgds, id, &mut out);
-                        }
-                        out
+                        self.collect_candidates(&mut bind_bodies(tgds), chunk)
                     })
                 })
                 .collect();
@@ -951,6 +834,7 @@ impl Chase {
         let max_conjuncts = opts.max_conjuncts.min(u32::MAX as usize - 1);
         let governed = !opts.budget.is_unlimited();
         let mut frontier: Vec<ConjunctId> = self.live_ids();
+        let mut rules = bind_bodies(tgds);
 
         // Initial EGD drain (the query body itself may violate an EGD).
         match self.drain_egds() {
@@ -971,7 +855,7 @@ impl Chase {
                     return Ok(());
                 }
             }
-            let candidates = self.discover(tgds, &frontier, threads)?;
+            let candidates = self.discover(&mut rules, &frontier, threads)?;
 
             let mut next: Vec<ConjunctId> = Vec::new();
             let mut added_any = false;
@@ -1064,9 +948,7 @@ impl Chase {
                         }
                         let fresh = Term::Null(self.nulls.fresh());
                         self.stats.nulls_invented += 1;
-                        let mut s = Subst::new();
-                        s.bind(ex, fresh);
-                        let head = head.apply(&s);
+                        let head = head.map(|t| if t == ex { fresh } else { t });
                         let Some((nid, new)) =
                             self.insert(head, new_level, Some(cand.rule), parents.clone())
                         else {
@@ -1127,6 +1009,42 @@ impl Chase {
     }
 }
 
+/// The chase's live conjuncts, through its own live-root index, which
+/// both the containment search and rule matching read. Its lists hold
+/// live roots in ascending id order, so they name the same atoms in the
+/// same order as a `Target` built from [`Chase::conjuncts`]: the search
+/// makes the same choices and finds the same witness on either. It also
+/// means every list a probe may pick holds the conjuncts that match it
+/// in the same order, so rule matches come in one order whichever list
+/// the lookup picks.
+impl AtomIndex for Chase {
+    type Id = ConjunctId;
+
+    fn posting(&self, pred: Pred, pos: usize, term: Term) -> &[ConjunctId] {
+        self.by_pos
+            .get(&(pred, pos as u8, term))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn of_pred(&self, pred: Pred) -> &[ConjunctId] {
+        &self.by_pred[pred.index()]
+    }
+
+    fn atom(&self, id: ConjunctId) -> &Atom {
+        Chase::atom(self, id)
+    }
+}
+
+/// A binding of a rule body with nothing decided.
+fn unconstrained(body: &[Atom]) -> Binding<'_> {
+    Binding::new(body, &[], &[]).expect("an empty head constrains nothing")
+}
+
+/// Each of `tgds` paired with a binding of its body.
+fn bind_bodies<'t>(tgds: &[&'t Tgd]) -> Vec<(&'t Tgd, Binding<'t>)> {
+    tgds.iter().map(|&t| (t, unconstrained(&t.body))).collect()
+}
+
 /// Walks a union-find parent chain; returns the root and the number of
 /// hops (the depth [`ChaseStats::union_find_depth`] reports).
 fn find_depth(uf: &HashMap<Term, Term>, mut t: Term) -> (Term, u32) {
@@ -1165,16 +1083,6 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn sigma_tgds(include_rho5: bool) -> Vec<&'static Tgd> {
-    sigma_fl()
-        .iter()
-        .filter_map(|r| match r {
-            SigmaRule::Tgd(t) if include_rho5 || t.id != RuleId::R5 => Some(t),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Computes `chase⁻(q) = chase_{Σ_FL − ρ5}(q)`: the preliminary chase of
 /// Section 4. It always terminates ("no new constant is generated"); all
 /// of its conjuncts are assigned level 0.
@@ -1207,22 +1115,7 @@ pub fn chase_minus(q: &ConjunctiveQuery) -> Chase {
 /// budget exhaustion is reported through [`ChaseOutcome::Exhausted`] on
 /// the returned (partial) chase instead.
 pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
-    let mut chase = Chase::new(q, &opts.sigma);
-    if chase.is_exhausted() {
-        return Ok(chase);
-    }
-    let run_opts = ChaseOptions {
-        level_bound: u32::MAX,
-        ..opts.clone()
-    };
-    // Structurally-Σ_FL sets take the specialized built-in path, so a
-    // parsed copy of the shipped rules is bit-identical to the default.
-    let tgds: Vec<&Tgd> = if opts.sigma.is_sigma_fl() {
-        sigma_tgds(false)
-    } else {
-        opts.sigma.datalog_tgds()
-    };
-    chase.run(&tgds, &run_opts)?;
+    let mut chase = chase_minus_phase(q, opts)?;
     chase.reset_levels();
     Ok(chase)
 }
@@ -1239,33 +1132,31 @@ pub fn chase_minus_with(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Cha
 /// worker panicked; exhaustion ends the run early with
 /// [`ChaseOutcome::Exhausted`] and the partial chase intact.
 pub fn chase_bounded(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
-    let mut chase = Chase::new(q, &opts.sigma);
-    if chase.is_exhausted() {
-        return Ok(chase);
-    }
-    let prelim = ChaseOptions {
-        level_bound: u32::MAX,
-        ..opts.clone()
-    };
-    let builtin = opts.sigma.is_sigma_fl();
-    let prelim_tgds: Vec<&Tgd> = if builtin {
-        sigma_tgds(false)
-    } else {
-        opts.sigma.datalog_tgds()
-    };
-    chase.run(&prelim_tgds, &prelim)?;
+    let mut chase = chase_minus_phase(q, opts)?;
     if chase.is_failed() || chase.is_exhausted() {
         return Ok(chase);
     }
     chase.reset_levels();
     chase.hit_bound = false;
     chase.record_cross = true;
-    let all_tgds: Vec<&Tgd> = if builtin {
-        sigma_tgds(true)
-    } else {
-        opts.sigma.tgds()
-    };
-    chase.run(&all_tgds, opts)?;
+    let sigma = Arc::clone(&chase.sigma);
+    chase.run(&sigma.tgds(), opts)?;
+    Ok(chase)
+}
+
+/// Starts the chase of `q` and runs its `chase⁻` phase: the rule set's
+/// TGDs without an existential head variable, with no level bound. The
+/// levels are left as the run assigned them.
+fn chase_minus_phase(q: &ConjunctiveQuery, opts: &ChaseOptions) -> Result<Chase, ChaseError> {
+    let mut chase = Chase::new(q, &opts.sigma);
+    if !chase.is_exhausted() {
+        let sigma = Arc::clone(&chase.sigma);
+        let unbounded = ChaseOptions {
+            level_bound: u32::MAX,
+            ..opts.clone()
+        };
+        chase.run(&sigma.datalog_tgds(), &unbounded)?;
+    }
     Ok(chase)
 }
 

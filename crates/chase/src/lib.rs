@@ -7,7 +7,10 @@
 //!   EGD ρ4 is repaired by equating terms (rewriting the lexicographically
 //!   larger into the smaller; equating two distinct rigid constants fails
 //!   the construction), and ρ5 invents fresh labelled nulls under the
-//!   restricted applicability test;
+//!   restricted applicability test. A rule applies wherever
+//!   [`flogic_hom::Binding`] maps its body into the chase: the trail
+//!   matcher the containment search runs, through the same live-root
+//!   index ([`Chase`] implements [`flogic_hom::AtomIndex`]);
 //! * the **chase graph** (Definition 3): conjuncts are nodes, each rule
 //!   application contributes rule-labelled arcs from the premise conjuncts
 //!   to the conclusion, *cross-arcs* record applications whose conclusion

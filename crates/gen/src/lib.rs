@@ -600,17 +600,6 @@ pub fn random_rule_set<R: Rng>(cfg: &SigmaGenConfig, rng: &mut R) -> RuleSet {
     RuleSet::new("generated", rules)
 }
 
-/// Checks that `hom` witnesses `q2 → q1`: useful for asserting generator
-/// guarantees in tests.
-pub fn is_witnessing_hom(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery, hom: &Subst) -> bool {
-    q2.body().iter().all(|a| q1.body().contains(&a.apply(hom)))
-        && q2
-            .head()
-            .iter()
-            .zip(q1.head())
-            .all(|(&h2, &h1)| hom.apply(h2) == h1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! Classic (constraint-free) query minimisation: the core of a conjunctive
 //! query.
 
-use flogic_model::{Atom, ConjunctiveQuery};
+use flogic_model::{Atom, ConjunctiveQuery, Pred};
+use flogic_term::Term;
 
 use crate::search::{search, Binding};
 use crate::{AtomIndex, HomStats, Target};
@@ -114,8 +115,12 @@ struct MaskedTarget<'a> {
 impl AtomIndex for MaskedTarget<'_> {
     type Id = usize;
 
-    fn candidates(&self, probe: &Atom) -> &[usize] {
-        self.target.candidates(probe)
+    fn posting(&self, pred: Pred, pos: usize, term: Term) -> &[usize] {
+        self.target.posting(pred, pos, term)
+    }
+
+    fn of_pred(&self, pred: Pred) -> &[usize] {
+        self.target.of_pred(pred)
     }
 
     fn atom(&self, id: usize) -> &Atom {

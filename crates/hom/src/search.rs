@@ -24,7 +24,12 @@ pub(crate) type OnHom<'a> = &'a mut dyn FnMut(&Binding<'_>) -> bool;
 /// Deciding a slot pushes it on a trail, and backtracking pops the trail
 /// back to a mark, so no candidate copies a map; a [`Subst`] is built only
 /// for a homomorphism that is found.
-pub(crate) struct Binding<'a> {
+///
+/// The containment search and the chase share it: the chase applies a
+/// rule wherever [`for_each_match`](Binding::for_each_match) maps the
+/// rule's body into it (Definition 2), and instantiates the rule's head
+/// through [`image`](Binding::image).
+pub struct Binding<'a> {
     source: &'a [Atom],
     /// Each source atom's argument slots, [`FIXED`] for a constant or a
     /// null.
@@ -40,11 +45,7 @@ impl<'a> Binding<'a> {
     /// binding from the head constraint: `source_head[i]` must map to
     /// `target_head[i]`. Returns `None` when the heads' lengths differ or
     /// a source constant clashes.
-    pub(crate) fn new(
-        source: &'a [Atom],
-        source_head: &[Term],
-        target_head: &[Term],
-    ) -> Option<Self> {
+    pub fn new(source: &'a [Atom], source_head: &[Term], target_head: &[Term]) -> Option<Self> {
         if source_head.len() != target_head.len() {
             return None;
         }
@@ -98,6 +99,54 @@ impl<'a> Binding<'a> {
         *image = Some(t);
         self.trail.push(slot);
         true
+    }
+
+    /// The image of `t`: a decided source variable's image, or `t`
+    /// itself (a constant, a null, or a variable not decided).
+    pub fn image(&self, t: Term) -> Term {
+        self.vars
+            .iter()
+            .find(|&&(var, _)| var == t)
+            .and_then(|&(_, image)| image)
+            .unwrap_or(t)
+    }
+
+    /// Calls `found` on every extension of the binding that maps each
+    /// source atom onto an atom of `target`, and source atom `pinned.0`
+    /// onto `pinned.1`, with the atom matched for each source atom.
+    ///
+    /// Source atoms are matched in order, each one's candidates in the
+    /// order [`AtomIndex::candidates`] lists them for the atom with its
+    /// decided variables applied, so the matches come in a fixed order.
+    /// `matched` is scratch the caller may keep across calls: it must
+    /// start empty, and it ends empty, as does every slot this call
+    /// decides.
+    pub fn for_each_match<T: AtomIndex>(
+        &mut self,
+        target: &T,
+        pinned: (usize, T::Id),
+        matched: &mut Vec<T::Id>,
+        found: &mut dyn FnMut(&Binding<'a>, &[T::Id]),
+    ) {
+        let i = matched.len();
+        if i == self.source.len() {
+            return found(self, matched);
+        }
+        let pin = [pinned.1];
+        let candidates = if i == pinned.0 {
+            &pin[..]
+        } else {
+            target.candidates(&self.probe(i))
+        };
+        let mark = self.mark();
+        for &cand in candidates {
+            if target.admits(cand) && self.unify(i, target.atom(cand)) {
+                matched.push(cand);
+                self.for_each_match(target, pinned, matched, found);
+                matched.pop();
+                self.undo(mark);
+            }
+        }
     }
 
     /// How many slots are decided: a mark to [`undo`](Binding::undo) to.
@@ -478,5 +527,34 @@ mod tests {
         ]);
         let hom = find_hom_unconstrained(&source, &t).unwrap();
         assert_eq!(hom.apply(v("C")), c("route"));
+    }
+
+    #[test]
+    fn pinned_matches_come_in_body_and_index_order() {
+        // A transitivity rule body over a target whose values are
+        // variables, as in a chase: images are compared, never re-bound.
+        let body = vec![Atom::sub(v("#A"), v("#B")), Atom::sub(v("#B"), v("#C"))];
+        let t = Target::new(vec![
+            Atom::sub(v("X"), v("Y")),
+            Atom::sub(v("Y"), v("Z")),
+            Atom::sub(v("Y"), v("W")),
+            Atom::sub(v("Z"), v("X")),
+        ]);
+        let mut binding = Binding::new(&body, &[], &[]).unwrap();
+        let mut matched = Vec::new();
+        let mut found = Vec::new();
+        binding.for_each_match(&t, (0, 0), &mut matched, &mut |b, ids| {
+            found.push((ids.to_vec(), b.image(v("#C"))));
+        });
+        assert_eq!(found, [(vec![0, 1], v("Z")), (vec![0, 2], v("W"))]);
+        // Pinned second: `sub(Y, Z)` is reached only from `sub(X, Y)`.
+        let mut found = Vec::new();
+        binding.for_each_match(&t, (1, 1), &mut matched, &mut |_, ids| {
+            found.push(ids.to_vec());
+        });
+        assert_eq!(found, [[0, 1]]);
+        // The scratch and the binding end as they started.
+        assert!(matched.is_empty());
+        assert_eq!(binding.image(v("#A")), v("#A"));
     }
 }

@@ -2,20 +2,22 @@
 
 use std::collections::HashMap;
 
-use flogic_chase::{Chase, ConjunctId};
-use flogic_model::{Atom, ConjunctiveQuery, Database, Pred};
+use flogic_model::{Atom, ConjunctiveQuery, Pred};
 use flogic_term::Term;
 
 /// An indexed set of atoms the homomorphism search maps into.
 ///
-/// [`Target`] implements it for query bodies and databases, and
-/// [`Chase`] for its own live conjuncts, so a chase is searched in place
-/// through the index it already keeps for rule matching.
+/// [`Target`] implements it for query bodies, and `flogic-chase`'s chase
+/// for its own live conjuncts, so a chase is searched in place through
+/// the index it keeps, and matches its rules' bodies
+/// ([`Binding::for_each_match`](crate::Binding::for_each_match)) through
+/// the same lookup. An index supplies its lists; the lookup rule,
+/// [`candidates`](AtomIndex::candidates), is the same for every index.
 ///
 /// An index may also stand for a *subset* of the atoms it lists: the
 /// search skips every candidate [`admits`](AtomIndex::admits) rejects and
 /// orders source atoms by [`count`](AtomIndex::count). Both default to
-/// the whole index, which is what [`Target`] and [`Chase`] are;
+/// the whole index, which is what [`Target`] and a chase are;
 /// [`classic_core`](crate::classic_core) overrides them to search one
 /// index of a body with its dropped atoms masked, in the same order and
 /// with the same choices as an index rebuilt without them.
@@ -23,12 +25,30 @@ pub trait AtomIndex {
     /// The handle an index list holds for one atom.
     type Id: Copy;
 
+    /// The atoms with `term` at argument `pos` of a `pred` atom.
+    fn posting(&self, pred: Pred, pos: usize, term: Term) -> &[Self::Id];
+
+    /// Every `pred` atom.
+    fn of_pred(&self, pred: Pred) -> &[Self::Id];
+
     /// Candidate atoms for `probe`, a source atom with the current
-    /// binding applied: the shortest `(predicate, position, term)` list
+    /// binding applied: the shortest [`posting`](AtomIndex::posting)
     /// over its non-variable positions, or every atom of its predicate
     /// when all of them are variables. Every candidate still needs a full
     /// unification check.
-    fn candidates(&self, probe: &Atom) -> &[Self::Id];
+    fn candidates(&self, probe: &Atom) -> &[Self::Id] {
+        let mut best: Option<&[Self::Id]> = None;
+        for (pos, &term) in probe.args().iter().enumerate() {
+            if term.is_var() {
+                continue;
+            }
+            let list = self.posting(probe.pred(), pos, term);
+            if best.map_or(true, |b| list.len() < b.len()) {
+                best = Some(list);
+            }
+        }
+        best.unwrap_or_else(|| self.of_pred(probe.pred()))
+    }
 
     /// The atom `id` names.
     fn atom(&self, id: Self::Id) -> &Atom;
@@ -81,11 +101,6 @@ impl Target {
         Target::new(q.body().to_vec())
     }
 
-    /// The facts of a database as a target.
-    pub fn from_database(db: &Database) -> Target {
-        Target::new(db.iter().copied().collect())
-    }
-
     fn push(&mut self, a: Atom) {
         let idx = self.atoms.len();
         self.by_pred[a.pred().index()].push(idx);
@@ -131,53 +146,27 @@ impl Target {
         };
         let bound = probe.args().iter().enumerate().filter(|(_, t)| !t.is_var());
         bound
-            .map(|(pos, &term)| {
-                let list = self.by_pos.get(&(pred, pos as u8, term));
-                list.map_or(0, Vec::len) - masked_on(Some(pos))
-            })
+            .map(|(pos, &term)| self.posting(pred, pos, term).len() - masked_on(Some(pos)))
             .min()
-            .unwrap_or_else(|| self.by_pred[pred.index()].len() - masked_on(None))
+            .unwrap_or_else(|| self.of_pred(pred).len() - masked_on(None))
     }
 }
 
 impl AtomIndex for Target {
     type Id = usize;
 
-    fn candidates(&self, probe: &Atom) -> &[usize] {
-        let mut best: Option<&[usize]> = None;
-        for (pos, &term) in probe.args().iter().enumerate() {
-            if term.is_var() {
-                continue;
-            }
-            let list: &[usize] = self
-                .by_pos
-                .get(&(probe.pred(), pos as u8, term))
-                .map_or(&[][..], Vec::as_slice);
-            if best.map_or(true, |b| list.len() < b.len()) {
-                best = Some(list);
-            }
-        }
-        best.unwrap_or(&self.by_pred[probe.pred().index()])
+    fn posting(&self, pred: Pred, pos: usize, term: Term) -> &[usize] {
+        self.by_pos
+            .get(&(pred, pos as u8, term))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn of_pred(&self, pred: Pred) -> &[usize] {
+        &self.by_pred[pred.index()]
     }
 
     fn atom(&self, i: usize) -> &Atom {
         &self.atoms[i]
-    }
-}
-
-/// The chase's live conjuncts, through its own live-root index. Its lists
-/// hold live roots in ascending id order, so they name the same atoms in
-/// the same order as a [`Target`] built from [`Chase::conjuncts`]: the
-/// search makes the same choices and finds the same witness on either.
-impl AtomIndex for Chase {
-    type Id = ConjunctId;
-
-    fn candidates(&self, probe: &Atom) -> &[ConjunctId] {
-        self.probe_candidates(probe)
-    }
-
-    fn atom(&self, id: ConjunctId) -> &Atom {
-        Chase::atom(self, id)
     }
 }
 

@@ -366,6 +366,10 @@ mod tests {
     fn malformed_contains_requests_get_typed_errors() {
         for (body, code) in [
             (br#"not json"#.as_slice(), "parse_error"),
+            (
+                br#"{"q1":"a","q2":"b","timeout_ms":050}"#.as_slice(),
+                "parse_error",
+            ),
             (br#"[1,2]"#.as_slice(), "bad_request"),
             (br#"{"q1":"a"}"#.as_slice(), "bad_request"),
             (br#"{"q1":"a","q2":7}"#.as_slice(), "bad_request"),

@@ -43,9 +43,9 @@ enum Slot {
     InFlight,
     /// Response ready, not yet serialized (it is not at the head yet,
     /// or the head was not flushed in this reactor turn), plus the
-    /// request's observability record when one is being kept. Boxed:
-    /// the pair is ~400 bytes and most live slots are `InFlight`.
-    Ready(Box<(Response, Option<ReqMeta>)>),
+    /// request's observability record. Boxed: the pair is ~400 bytes
+    /// and most live slots are `InFlight`.
+    Ready(Box<(Response, ReqMeta)>),
 }
 
 /// What a connection wants from the poller right now.
@@ -253,7 +253,7 @@ impl Conn {
                         message: e.message,
                     }
                     .to_response();
-                    self.complete_traced(seq, resp, Some(meta));
+                    self.complete(seq, resp, meta);
                     break;
                 }
             }
@@ -267,19 +267,14 @@ impl Conn {
         Turn::Keep
     }
 
-    /// Delivers the response for sequence `seq` into its slot, then
-    /// serializes the contiguous ready prefix into the write buffer.
+    /// Delivers the response for sequence `seq` into its slot, with the
+    /// request's observability record, then serializes the contiguous
+    /// ready prefix into the write buffer. The record is finished (write
+    /// stage marked, handed to [`take_finished`](Conn::take_finished))
+    /// once the response's last byte is flushed to the socket.
     /// Out-of-range sequences (a slot dropped by a racing close) are
     /// ignored.
-    pub fn complete(&mut self, seq: u64, response: Response) {
-        self.complete_traced(seq, response, None);
-    }
-
-    /// [`complete`](Conn::complete), carrying the request's
-    /// observability record; the record is finished (write stage
-    /// marked, handed to [`take_finished`](Conn::take_finished)) once
-    /// the response's last byte is flushed to the socket.
-    pub fn complete_traced(&mut self, seq: u64, response: Response, meta: Option<ReqMeta>) {
+    pub fn complete(&mut self, seq: u64, response: Response, meta: ReqMeta) {
         let Some(idx) = seq.checked_sub(self.base_seq) else {
             return;
         };
@@ -300,7 +295,7 @@ impl Conn {
             let Some(Slot::Ready(slot)) = self.slots.pop_front() else {
                 unreachable!("front() said Ready");
             };
-            let (resp, meta) = *slot;
+            let (resp, mut meta) = *slot;
             self.base_seq += 1;
             // `connection: close` on the last response of a closing
             // pipeline tells the client not to wait for more.
@@ -309,14 +304,12 @@ impl Conn {
             http::encode_response(&mut self.write_buf, &resp, close);
             let added = (self.write_buf.len() - before) as u64;
             self.queued_total += added;
-            if let Some(mut meta) = meta {
-                meta.status = resp.status;
-                if meta.cause.is_none() {
-                    meta.cause = resp.cause;
-                }
-                meta.bytes_out = added;
-                self.pending_finish.push_back((self.queued_total, meta));
+            meta.status = resp.status;
+            if meta.cause.is_none() {
+                meta.cause = resp.cause;
             }
+            meta.bytes_out = added;
+            self.pending_finish.push_back((self.queued_total, meta));
         }
     }
 
@@ -413,12 +406,15 @@ mod tests {
 
         // Complete out of order: c, a, b. Nothing serializes until the
         // head (a) lands; then a alone; then b and c together.
-        conn.complete(incoming[2].seq, ok_response("c"));
+        let c = incoming.pop().unwrap();
+        conn.complete(c.seq, ok_response("c"), c.meta);
         assert!(conn.write_buf.is_empty());
-        conn.complete(incoming[0].seq, ok_response("a"));
+        let a = incoming.remove(0);
+        conn.complete(a.seq, ok_response("a"), a.meta);
         let after_a = String::from_utf8(conn.write_buf.clone()).unwrap();
         assert!(after_a.contains("resp-a") && !after_a.contains("resp-c"));
-        conn.complete(incoming[1].seq, ok_response("b"));
+        let b = incoming.pop().unwrap();
+        conn.complete(b.seq, ok_response("b"), b.meta);
         let all = String::from_utf8(conn.write_buf.clone()).unwrap();
         let (pa, pb, pc) = (
             all.find("resp-a").unwrap(),
@@ -471,7 +467,7 @@ mod tests {
         assert!(!conn.wants().read, "reading pauses at the pipeline cap");
         // Draining the pipeline resumes reading.
         for inc in incoming.drain(..) {
-            conn.complete(inc.seq, ok_response("x"));
+            conn.complete(inc.seq, ok_response("x"), inc.meta);
         }
         conn.flush(Instant::now());
         assert!(conn.wants().read);

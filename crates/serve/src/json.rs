@@ -143,6 +143,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             "only unsigned integers are accepted (offset {start})"
         ));
     }
+    // JSON's integer grammar: `0`, or a non-zero digit and more digits.
+    if bytes[start] == b'0' && *pos - start > 1 {
+        return Err(format!("leading zero in integer at offset {start}"));
+    }
     std::str::from_utf8(&bytes[start..*pos])
         .ok()
         .and_then(|s| s.parse().ok())
@@ -173,10 +177,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
+                        // Exactly four ASCII hex digits.
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(|h| {
+                                h.iter()
+                                    .try_fold(0, |n, &b| Some(n * 16 + char::from(b).to_digit(16)?))
+                            })
                             .ok_or_else(|| format!("bad \\u escape at offset {}", *pos))?;
                         // Surrogate pairs are not needed by any query
                         // syntax; reject rather than mis-decode.
@@ -331,9 +338,15 @@ mod tests {
             "\"unterminated",
             "[1] []",
             "18446744073709551616", // u64::MAX + 1
+            "\"\\u+0e9\"",          // a sign is not a hex digit
+            "\"\\u00e\"",
+            "007",
+            "[01]",
+            "{\"timeout_ms\":050}",
         ] {
             assert!(parse(bad).is_err(), "{bad} should be rejected");
         }
+        assert_eq!(parse("[0,10]").unwrap().as_arr().unwrap()[0], Json::Num(0));
         // Depth bomb stops at MAX_DEPTH instead of recursing away.
         let bomb = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&bomb).unwrap_err().contains("nesting"));

@@ -136,7 +136,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) -> io::Result<()> 
         let mut touched: Vec<u64> = Vec::new();
         for c in done {
             if let Some(reg) = conns.get_mut(&c.token) {
-                reg.conn.complete_traced(c.seq, c.response, Some(c.meta));
+                reg.conn.complete(c.seq, c.response, c.meta);
                 touched.push(c.token);
             }
         }
@@ -304,14 +304,14 @@ fn dispatch(shared: &Arc<Shared>, conn: &mut Conn, inc: Incoming, draining: bool
         // begin_close, a parsed request may slip through; refuse it
         // rather than racing the worker shutdown.
         shared.rejected_total.fetch_add(1, Ordering::Relaxed);
-        conn.complete_traced(seq, ApiError::overloaded().to_response(), Some(meta));
+        conn.complete(seq, ApiError::overloaded().to_response(), meta);
         return;
     }
     let mut jobs = shared.jobs.lock().expect("jobs poisoned");
     if jobs.len() >= shared.config.queue_depth {
         drop(jobs);
         shared.rejected_total.fetch_add(1, Ordering::Relaxed);
-        conn.complete_traced(seq, ApiError::overloaded().to_response(), Some(meta));
+        conn.complete(seq, ApiError::overloaded().to_response(), meta);
         return;
     }
     jobs.push_back(Job {

@@ -110,6 +110,7 @@ use flogic_lite::core::{
 use flogic_lite::datalog::{answers, close_database, ClosureOptions};
 use flogic_lite::model::{DepGraph, RuleSet};
 use flogic_lite::prelude::*;
+use flogic_lite::serve::json::escape_into;
 use flogic_lite::serve::SERVE_FLAGS;
 use flogic_lite::syntax::query_to_flogic;
 
@@ -730,34 +731,14 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 /// One diagnostic as a flat JSON object — one line of `lint --json`
 /// output.
 fn diagnostic_json(path: &str, d: &Diagnostic) -> String {
-    format!(
-        "{{\"code\":\"{}\",\"severity\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"path\":\"{}\"}}",
-        d.code,
-        d.severity,
-        d.pos.line,
-        d.pos.col,
-        json_escape(&d.message),
-        json_escape(path)
-    )
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars);
-/// non-ASCII is passed through as UTF-8, which JSON allows.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = format!(
+        "{{\"code\":\"{}\",\"severity\":\"{}\",\"line\":{},\"col\":{},\"message\":",
+        d.code, d.severity, d.pos.line, d.pos.col,
+    );
+    escape_into(&mut out, &d.message);
+    out.push_str(",\"path\":");
+    escape_into(&mut out, path);
+    out.push('}');
     out
 }
 
