@@ -550,6 +550,19 @@ impl Chase {
     ///
     /// Returns `Err((left, right))` when two distinct rigid constants must
     /// be equated, `Ok(true)` if any merge happened.
+    ///
+    /// When several `funct` groups clash, the scan reports the first
+    /// `funct` conjunct's group (unit test
+    /// `rho4_reports_the_clash_of_the_first_funct_conjunct`). The generic
+    /// matcher pinned on ρ4's first atom reports another pair; pinned on
+    /// its last, `funct(A, O)`, the same one. The scan stays because the
+    /// generic matcher is 1.25–1.7× slower on pumps with `funct` atoms,
+    /// even with EGD bindings built once per run. Best-of-N
+    /// `chase_bounded` of `q() :- mandatory(a, T), type(T, a, T),
+    /// funct(a, T), sub(T, U), member(x, T), data(x, a, c1).` (release,
+    /// 2-vCPU VM) took 120 → 151–161 µs at bound 12, 345 → 476–482 µs at
+    /// bound 36 and 15.5 → 25.6–25.9 ms at bound 400; the same pump
+    /// without `funct` was unchanged.
     fn egd_fixpoint(&mut self) -> Result<bool, (Term, Term)> {
         let mut changed_any = false;
         loop {
@@ -614,10 +627,7 @@ impl Chase {
         }
         self.merge_map = self.merge_map.compose(merge);
         // Rewrite atoms of live nodes.
-        let live: Vec<ConjunctId> = (0..self.nodes.len() as u32)
-            .map(ConjunctId)
-            .filter(|&i| self.is_live(i))
-            .collect();
+        let live = self.live_ids();
         self.canon.clear();
         for arr in &mut self.by_pred {
             arr.clear();
@@ -665,17 +675,17 @@ impl Chase {
 
     // ---- TGD matching -----------------------------------------------------
 
-    /// Conjuncts that already witness an existential head: same
-    /// predicate, equal at every non-existential position, with all
-    /// occurrences of the existential variable mapped to one common value
-    /// (Definition 2(2)(ii): the rule is applicable only if *no*
+    /// Appends to `out` the conjuncts that already witness an existential
+    /// head: same predicate, equal at every non-existential position, with
+    /// all occurrences of the existential variable mapped to one common
+    /// value (Definition 2(2)(ii): the rule is applicable only if *no*
     /// extension of the binding maps the head into the chase). Probes the
     /// positional index at the first non-existential head position,
     /// falling back to the per-predicate list for the degenerate
     /// all-existential head. For ρ5 (`data(O, A, ∃V)`) this probes
     /// `(data, 0, O)` — exactly the scan the specialized `Σ_FL` engine
     /// performed, in the same index order.
-    fn existential_witnesses(&self, head: &Atom, ex: Term) -> Vec<ConjunctId> {
+    fn existential_witnesses(&self, head: &Atom, ex: Term, out: &mut Vec<ConjunctId>) {
         let probe = head
             .args()
             .iter()
@@ -686,25 +696,22 @@ impl Chase {
             Some((pos, t)) => self.posting(head.pred(), pos, t),
             None => &self.by_pred[head.pred().index()],
         };
-        ids.iter()
-            .copied()
-            .filter(|&id| {
-                let witness = &self.nodes[id.index()].atom;
-                let mut ex_image: Option<Term> = None;
-                head.args().iter().zip(witness.args()).all(|(&h, &w)| {
-                    if h == ex {
-                        if let Some(img) = ex_image {
-                            img == w
-                        } else {
-                            ex_image = Some(w);
-                            true
-                        }
+        out.extend(ids.iter().copied().filter(|&id| {
+            let witness = &self.nodes[id.index()].atom;
+            let mut ex_image: Option<Term> = None;
+            head.args().iter().zip(witness.args()).all(|(&h, &w)| {
+                if h == ex {
+                    if let Some(img) = ex_image {
+                        img == w
                     } else {
-                        h == w
+                        ex_image = Some(w);
+                        true
                     }
-                })
+                } else {
+                    h == w
+                }
             })
-            .collect()
+        }));
     }
 
     // ---- main loop ----------------------------------------------------------
@@ -835,6 +842,9 @@ impl Chase {
         let governed = !opts.budget.is_unlimited();
         let mut frontier: Vec<ConjunctId> = self.live_ids();
         let mut rules = bind_bodies(tgds);
+        // Witnesses of the current candidate's head, reused across
+        // candidates.
+        let mut witnesses: Vec<ConjunctId> = Vec::new();
 
         // Initial EGD drain (the query body itself may violate an EGD).
         match self.drain_egds() {
@@ -858,8 +868,7 @@ impl Chase {
             let candidates = self.discover(&mut rules, &frontier, threads)?;
 
             let mut next: Vec<ConjunctId> = Vec::new();
-            let mut added_any = false;
-            for cand in candidates {
+            for mut cand in candidates {
                 self.stats.steps += 1;
                 if let Some(max_steps) = opts.budget.max_steps {
                     if self.stats.steps > max_steps {
@@ -877,96 +886,68 @@ impl Chase {
                 // round (the snapshot the candidate was discovered on is
                 // one round old by now).
                 let head = cand.head.apply(&self.merge_map);
-                let parents: Vec<ConjunctId> =
-                    cand.parents.iter().map(|&p| self.resolve(p)).collect();
-                if parents.iter().any(|&p| !self.is_live(p)) {
-                    continue;
+                for p in &mut cand.parents {
+                    *p = self.resolve(*p);
                 }
-                let parent_level = parents
+                let new_level = cand
+                    .parents
                     .iter()
                     .map(|&p| self.nodes[p.index()].level)
                     .max()
-                    .unwrap_or(0);
-                let new_level = parent_level + 1;
+                    .unwrap_or(0)
+                    + 1;
 
+                // A TGD applies only where no conjunct already witnesses
+                // its head (Definition 2(2)(ii)): the head itself, or for
+                // an existential head any extension of the binding.
+                witnesses.clear();
                 match cand.existential {
-                    None => {
-                        if let Some(&existing) = self.canon.get(&head) {
-                            // Conclusion already present: cross-arcs
-                            // (Definition 3(4)(i)).
-                            if self.record_cross {
-                                for &p in &parents {
-                                    self.add_arc(p, existing, cand.rule, true);
-                                }
+                    None => witnesses.extend(self.canon.get(&head)),
+                    Some(ex) => self.existential_witnesses(&head, ex, &mut witnesses),
+                }
+                if !witnesses.is_empty() {
+                    // Conclusion already present: cross-arcs (Definition
+                    // 3(4)(i)).
+                    if self.record_cross {
+                        for &w in &witnesses {
+                            for &p in &cand.parents {
+                                self.add_arc(p, w, cand.rule, true);
                             }
-                            continue;
                         }
-                        if new_level > opts.level_bound {
-                            self.hit_bound = true;
-                            continue;
-                        }
-                        if self.nodes.len() >= max_conjuncts {
-                            self.exhaust(ExhaustReason::Conjuncts);
-                            return Ok(());
-                        }
-                        let Some((nid, new)) =
-                            self.insert(head, new_level, Some(cand.rule), parents.clone())
-                        else {
-                            self.exhaust(ExhaustReason::Conjuncts);
-                            return Ok(());
-                        };
-                        debug_assert!(new);
-                        self.stats.record_application(cand.rule);
-                        for &p in &parents {
-                            self.add_arc(p, nid, cand.rule, false);
-                        }
-                        next.push(nid);
-                        added_any = true;
                     }
+                    continue;
+                }
+                if new_level > opts.level_bound {
+                    self.hit_bound = true;
+                    continue;
+                }
+                if self.nodes.len() >= max_conjuncts {
+                    self.exhaust(ExhaustReason::Conjuncts);
+                    return Ok(());
+                }
+                let head = match cand.existential {
+                    None => head,
                     Some(ex) => {
-                        // Existential TGD: applicable only if no extension of
-                        // the binding maps the head into the chase
-                        // (Definition 2(2)(ii)).
-                        let witnesses = self.existential_witnesses(&head, ex);
-                        if !witnesses.is_empty() {
-                            if self.record_cross {
-                                for w in witnesses {
-                                    for &p in &parents {
-                                        self.add_arc(p, w, cand.rule, true);
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        if new_level > opts.level_bound {
-                            self.hit_bound = true;
-                            continue;
-                        }
-                        if self.nodes.len() >= max_conjuncts {
-                            self.exhaust(ExhaustReason::Conjuncts);
-                            return Ok(());
-                        }
                         let fresh = Term::Null(self.nulls.fresh());
                         self.stats.nulls_invented += 1;
-                        let head = head.map(|t| if t == ex { fresh } else { t });
-                        let Some((nid, new)) =
-                            self.insert(head, new_level, Some(cand.rule), parents.clone())
-                        else {
-                            self.exhaust(ExhaustReason::Conjuncts);
-                            return Ok(());
-                        };
-                        debug_assert!(new);
-                        self.stats.record_application(cand.rule);
-                        for &p in &parents {
-                            self.add_arc(p, nid, cand.rule, false);
-                        }
-                        next.push(nid);
-                        added_any = true;
+                        head.map(|t| if t == ex { fresh } else { t })
                     }
+                };
+                let Some((nid, new)) =
+                    self.insert(head, new_level, Some(cand.rule), cand.parents.clone())
+                else {
+                    self.exhaust(ExhaustReason::Conjuncts);
+                    return Ok(());
+                };
+                debug_assert!(new);
+                self.stats.record_application(cand.rule);
+                for &p in &cand.parents {
+                    self.add_arc(p, nid, cand.rule, false);
                 }
+                next.push(nid);
             }
 
-            if added_any {
+            if !next.is_empty() {
                 // Definition 2: EGDs are drained after TGD applications.
                 match self.drain_egds() {
                     Err((l, r)) => {
@@ -1217,6 +1198,26 @@ mod tests {
             panic!()
         };
         assert_eq!((left, right), (c("1"), c("2")));
+    }
+
+    #[test]
+    fn rho4_reports_the_clash_of_the_first_funct_conjunct() {
+        // Two funct groups clash. The scan walks funct conjuncts in id
+        // order, so funct(b, p)'s group reports first; a matcher pinned on
+        // ρ4's first body atom would walk data(o, a, _) first and report
+        // (c1, c3) instead.
+        let q = parse_query(
+            "q() :- funct(b, p), data(o, a, c3), data(o, a, c1), data(o, a, c2), \
+             funct(a, o), data(p, b, d2), data(p, b, d1).",
+        )
+        .unwrap();
+        assert_eq!(
+            chase_minus(&q).outcome(),
+            ChaseOutcome::Failed {
+                left: c("d1"),
+                right: c("d2")
+            }
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use flogic_model::{Atom, RuleId};
+use flogic_model::RuleId;
 
 use crate::engine::Chase;
 
@@ -39,7 +39,7 @@ impl fmt::Display for ConjunctId {
 /// `cross` marks *cross-arcs* — applications whose conclusion was already
 /// present in the chase (Definition 3(4)). Arcs from a node at level `k` to
 /// a node at level `k + 1` are *primary*, all others *secondary*
-/// (Definition 3(5)); see [`ChaseArc::is_primary`].
+/// (Definition 3(5)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ChaseArc {
     /// Premise conjunct.
@@ -50,30 +50,6 @@ pub struct ChaseArc {
     pub rule: RuleId,
     /// True for cross-arcs.
     pub cross: bool,
-}
-
-impl ChaseArc {
-    /// Primary arcs go from level `k` to level `k + 1` (Definition 3(5)).
-    pub fn is_primary(&self, chase: &Chase) -> bool {
-        chase.level(self.to) == chase.level(self.from) + 1
-    }
-}
-
-/// Conjunct equivalence `c1 ~ c2` (Definition 6): same relation symbol, and
-/// the two conjuncts agree on every position where either holds a rigid
-/// (non-fresh) constant. Positions holding variables or labelled nulls are
-/// wildcards.
-pub fn equivalent_conjuncts(c1: &Atom, c2: &Atom) -> bool {
-    if c1.pred() != c2.pred() {
-        return false;
-    }
-    c1.args().iter().zip(c2.args()).all(|(a, b)| {
-        if a.is_const() || b.is_const() {
-            a == b
-        } else {
-            true
-        }
-    })
 }
 
 /// A violation of the locality property of Lemma 5.
@@ -131,47 +107,6 @@ pub fn locality_violations(chase: &Chase) -> Vec<LocalityViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flogic_term::{NullGen, Term};
-
-    fn c(n: &str) -> Term {
-        Term::constant(n)
-    }
-    fn v(n: &str) -> Term {
-        Term::var(n)
-    }
-
-    #[test]
-    fn equivalence_ignores_vars_and_nulls() {
-        let mut g = NullGen::new();
-        let n = Term::Null(g.fresh());
-        let a1 = Atom::typ(v("X"), c("age"), c("number"));
-        let a2 = Atom::typ(n, c("age"), c("number"));
-        assert!(equivalent_conjuncts(&a1, &a2));
-    }
-
-    #[test]
-    fn equivalence_requires_constant_agreement() {
-        let a1 = Atom::typ(v("X"), c("age"), c("number"));
-        let a2 = Atom::typ(v("X"), c("name"), c("number"));
-        assert!(!equivalent_conjuncts(&a1, &a2));
-    }
-
-    #[test]
-    fn equivalence_requires_same_predicate() {
-        let a1 = Atom::member(v("X"), v("Y"));
-        let a2 = Atom::sub(v("X"), v("Y"));
-        assert!(!equivalent_conjuncts(&a1, &a2));
-    }
-
-    #[test]
-    fn constant_vs_var_is_equivalent_only_one_way_mattering() {
-        // A constant against a variable is fine per Definition 6 only when
-        // the *other* is not a constant... it is a constant, so they must
-        // be equal — and a variable is not equal to it.
-        let a1 = Atom::member(c("john"), c("student"));
-        let a2 = Atom::member(v("X"), c("student"));
-        assert!(!equivalent_conjuncts(&a1, &a2));
-    }
 
     #[test]
     fn conjunct_id_display() {

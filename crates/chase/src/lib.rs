@@ -20,8 +20,7 @@
 //!   conjuncts are all assigned level 0; then the level-bounded phase with
 //!   all twelve rules, which is where the possibly-infinite
 //!   ρ5–ρ1–ρ6–ρ10 pump unrolls;
-//! * analysis helpers: conjunct **equivalence** (Definition 6), primary and
-//!   secondary arcs, the **locality** property (Lemma 5) as a checkable
+//! * analysis helpers: the **locality** property (Lemma 5) as a checkable
 //!   predicate, and detection of the **mandatory-attribute cycles** that
 //!   make the chase infinite (Section 4).
 
@@ -30,7 +29,6 @@ mod dot;
 mod engine;
 mod governor;
 mod graph;
-mod paths;
 
 pub use cycles::{find_mandatory_cycles, has_infinite_chase_potential, MandatoryCycle};
 pub use dot::{to_dot, to_text};
@@ -39,10 +37,4 @@ pub use engine::{
     LevelGrowth,
 };
 pub use governor::{Budget, CancelToken, ChaseError, ExhaustReason};
-pub use graph::{
-    equivalent_conjuncts, locality_violations, ChaseArc, ConjunctId, LocalityViolation,
-};
-pub use paths::{
-    count_primary_paths, find_equivalent_pair, is_primary_path_arc, max_primary_path_multiplicity,
-    parallel, primary_path, Path,
-};
+pub use graph::{locality_violations, ChaseArc, ConjunctId, LocalityViolation};

@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-use flogic_chase::{Chase, ConjunctId};
+use flogic_chase::{Chase, ChaseOutcome, ConjunctId};
 use flogic_model::{Atom, ConjunctiveQuery, RuleId};
+use flogic_term::Term;
 
 use crate::{ChaseSnapshot, ContainmentOptions, CoreError};
 
@@ -46,7 +47,14 @@ pub enum Explanation {
     /// The containment does not hold.
     NotContained,
     /// It holds vacuously: the chase of `q1` failed, `q1` is unsatisfiable.
-    Vacuous,
+    Vacuous {
+        /// One of the two distinct constants an EGD had to equate.
+        left: Term,
+        /// The other one.
+        right: Term,
+        /// True when the active Σ is `Σ_FL`, whose only EGD is ρ4.
+        sigma_fl: bool,
+    },
     /// It holds with evidence.
     Witness {
         /// How each conjunct of `body(q2)` maps into the chase of `q1`.
@@ -62,10 +70,16 @@ impl fmt::Display for Explanation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Explanation::NotContained => write!(f, "containment does not hold"),
-            Explanation::Vacuous => write!(
+            Explanation::Vacuous { sigma_fl: true, .. } => write!(
                 f,
                 "containment holds vacuously: chase(q1) failed (rho4 equated two \
                  distinct constants), so q1 has no answers on any Sigma_FL database"
+            ),
+            Explanation::Vacuous { left, right, .. } => write!(
+                f,
+                "containment holds vacuously: chase(q1) failed (an EGD of the active \
+                 Σ equated the distinct constants {left} and {right}), so q1 has no \
+                 answers on any database that satisfies the active Σ"
             ),
             Explanation::Witness {
                 atom_images,
@@ -135,8 +149,12 @@ pub fn explain(
 ) -> Result<Explanation, CoreError> {
     let snapshot = ChaseSnapshot::for_candidates(q1, std::slice::from_ref(q2), opts)?;
     let result = snapshot.contains(q2, opts)?.require_decided()?;
-    if result.is_vacuous() {
-        return Ok(Explanation::Vacuous);
+    if let ChaseOutcome::Failed { left, right } = result.chase_outcome() {
+        return Ok(Explanation::Vacuous {
+            left,
+            right,
+            sigma_fl: opts.sigma.is_sigma_fl(),
+        });
     }
     let Some(hom) = result.witness() else {
         return Ok(Explanation::NotContained);
@@ -235,7 +253,7 @@ mod tests {
         let q2 = q("qq() :- sub(X, Y).");
         assert!(matches!(
             explain(&q1, &q2, &opts()).unwrap(),
-            Explanation::Vacuous
+            Explanation::Vacuous { .. }
         ));
     }
 

@@ -624,8 +624,12 @@ fn run_chase(q: &ConjunctiveQuery, opts: &ChaseOptions, dot: bool) -> ExitCode {
         }
         return ExitCode::from(EXIT_EXHAUSTED);
     }
-    if chase.is_failed() {
-        println!("chase FAILED (rho4 equated two distinct constants): the query is\nunsatisfiable w.r.t. Sigma_FL; it is contained in every query of its arity.");
+    if let flogic_lite::chase::ChaseOutcome::Failed { left, right } = chase.outcome() {
+        if opts.sigma.is_sigma_fl() {
+            println!("chase FAILED (rho4 equated two distinct constants): the query is\nunsatisfiable w.r.t. Sigma_FL; it is contained in every query of its arity.");
+        } else {
+            println!("chase FAILED (an EGD of the active Σ equated the distinct constants {left} and {right}):\nthe query is unsatisfiable w.r.t. the active Σ; it is contained in every query of its arity.");
+        }
         return ExitCode::SUCCESS;
     }
     if dot {

@@ -116,6 +116,26 @@ fn explain_reports_non_containment() {
 }
 
 #[test]
+fn a_failed_chase_under_a_user_sigma_names_that_sigma_and_the_clash() {
+    // One EGD of the user's own: data values are functional. The set is
+    // weakly acyclic, so it is admitted.
+    let sigma = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("functional_data.sigma");
+    std::fs::write(&sigma, "V = W :- data(O, A, V), data(O, A, W).\n").unwrap();
+    let sigma = sigma.to_str().unwrap();
+    let q1 = "q() :- data(o, a, c1), data(o, a, c2).";
+    let (chase, _, ok) = flq(&["chase", q1, "--sigma", sigma]);
+    assert!(ok);
+    let (explain, _, ok) = flq(&["explain", q1, "p() :- sub(X, Y).", "--sigma", sigma]);
+    assert!(ok);
+    for stdout in [chase, explain] {
+        assert!(stdout.contains("the active Σ"), "{stdout}");
+        assert!(stdout.contains("constants c1 and c2"), "{stdout}");
+        assert!(!stdout.contains("rho4"), "{stdout}");
+        assert!(!stdout.contains("Sigma_FL"), "{stdout}");
+    }
+}
+
+#[test]
 fn bad_usage_exits_nonzero() {
     let (_, _, ok) = flq(&["frobnicate"]);
     assert!(!ok);
